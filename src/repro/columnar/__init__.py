@@ -1,11 +1,11 @@
 """Columnar backend: parallel-array storage + batch plan execution.
 
-A second physical layer for the shared logical IR in :mod:`repro.plan`:
+The physical layer for the shared logical IR in :mod:`repro.plan`:
 :class:`ColumnStore` holds the label relation as clustered parallel
 arrays, :class:`ColumnarRuntime`/:func:`compile_plan` execute optimized
-plans batch-at-a-time over row ids, and :class:`ColumnarCatalog` lets the
-lowerer compile against a store with no row table at all.  Engines expose
-it behind ``executor="columnar"``.
+plans batch-at-a-time over row ids, and :class:`ColumnarCatalog` answers
+the lowerer's size, statistics and access-path questions from the store.
+Every engine runs its queries here.
 
 Hierarchical joins additionally come in a *set-at-a-time* flavor
 (:mod:`repro.columnar.structural`): merge-eligible axis steps evaluate as

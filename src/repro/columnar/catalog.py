@@ -1,10 +1,9 @@
 """A lowering catalog backed by a :class:`~repro.columnar.store.ColumnStore`.
 
-The shared lowerer only asks a catalog three things — relation size, name
-frequency, and access-path selection (:class:`repro.plan.schemes.Catalog`'s
-surface).  A column store can answer all three without a row table, which
-is what lets :meth:`repro.lpath.engine.LPathEngine.from_columns` compile
-queries without ever materializing row tuples.
+The shared lowerer and optimizer ask a catalog for relation size, name
+frequency, per-name statistics and access-path selection.  A column store
+answers all of them directly, so queries compile without ever
+materializing row tuples.
 
 Access paths are chosen with the same scoring as the relational planner
 (:func:`repro.relational.planner.match_index`), over the two physical
@@ -27,7 +26,7 @@ class _IndexShim(NamedTuple):
 
 
 class ColumnarCatalog:
-    """Catalog interface over a column store (no row table required)."""
+    """The lowering catalog over one column store."""
 
     def __init__(self, store) -> None:
         self.store = store

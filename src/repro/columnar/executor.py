@@ -1,8 +1,8 @@
 """Batch-at-a-time physical compiler for the shared logical IR.
 
-This is the second physical backend for :mod:`repro.plan` (the first is
-the tuple-at-a-time Volcano interpreter in :mod:`repro.plan.executor`).
-Both compile the *same* optimized IR; the difference is entirely physical:
+This is the physical executor of :mod:`repro.plan`: it compiles the
+optimized IR of either dialect against one
+:class:`~repro.columnar.store.ColumnStore`:
 
 * a pipeline intermediate is a **batch** — one ``array('q')`` of row ids
   per bound slot — instead of a stream of concatenated 8-wide tuples;
@@ -25,8 +25,7 @@ Both compile the *same* optimized IR; the difference is entirely physical:
   bindings that are short lists of row ids.
 
 Compiled plans are stateless and re-iterable, so they are safe to keep in
-the per-engine plan cache alongside Volcano plans (the cache keys on the
-executor choice).
+the per-engine plan cache.
 
 Operand access is **sequence-protocol only** — a deliberate contract
 since the zero-copy store arrived: every column reference compiled here
@@ -46,7 +45,6 @@ from __future__ import annotations
 import operator
 from bisect import bisect_left
 from itertools import repeat
-from math import inf
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from ..lpath.axes import Axis
@@ -107,19 +105,9 @@ _FLIPPED = {
 class ColumnarRuntime:
     """One engine's columnar physical context."""
 
-    def __init__(
-        self,
-        store: ColumnStore,
-        scheme,
-        root_right: Optional[dict[int, int]] = None,
-        index_columns: Optional[dict[str, tuple[str, ...]]] = None,
-    ) -> None:
+    def __init__(self, store: ColumnStore, scheme) -> None:
         self.store = store
         self.scheme = scheme
-        self.root_right = root_right if root_right is not None else store.root_right
-        #: Secondary-index column layouts of the owning engine's row table,
-        #: so probes against ablation indexes resolve to generic projections.
-        self.index_columns = dict(index_columns or {})
         #: Hot-path string resolution: one closure with the column arrays
         #: and the per-tree ``@lex`` bounds pre-resolved, instead of
         #: re-walking store attributes and bound dictionaries per row.
@@ -485,7 +473,7 @@ def _classify(
     binding: list[BindingCheck] = []
     row: list[BindingCheck] = []
     for condition in conditions:
-        if cand_slot not in pred_slots(condition):
+        if cand_slot not in pred_slots(condition) and not _reads_last_slot(condition):
             binding.append(compile_pred(condition, runtime))
             continue
         filt = _vector_filter(condition, cand_slot, runtime)
@@ -494,6 +482,22 @@ def _classify(
         else:
             row.append(compile_pred(condition, runtime))
     return vector, binding, row
+
+
+def _reads_last_slot(pred: Pred) -> bool:
+    """Does a value or count comparison compare the binding's last slot
+    itself?  Its subplan then binds no slot of its own (``.`` is
+    ``self::_``), so :func:`pred_slots` sees no reference, yet the check
+    reads whatever row the binding ends with — the candidate."""
+    if isinstance(pred, (AllPred, AnyPred)):
+        return any(_reads_last_slot(part) for part in pred.parts)
+    if isinstance(pred, NotPred):
+        return _reads_last_slot(pred.part)
+    if isinstance(pred, (ValueCmpPred, CountCmpPred)):
+        return not any(
+            isinstance(node, (Scan, Join)) for node in linearize(pred.subplan)
+        )
+    return False
 
 
 def _vector_filter(pred: Pred, cand_slot: int, runtime: ColumnarRuntime):
@@ -605,10 +609,7 @@ class _ScanStep:
             return None
         if not (
             isinstance(self.access, IndexProbe)
-            and (
-                self.access.index == "clustered"
-                or self.access.index.endswith("_clustered")
-            )
+            and self.access.index == "clustered"
         ):
             return None
         cands = self.probe([])
@@ -762,17 +763,12 @@ def compile_access(access, runtime: ColumnarRuntime) -> RowProbe:
 def _compile_index_probe(access: IndexProbe, runtime: ColumnarRuntime) -> RowProbe:
     store = runtime.store
     name = access.index
-    if name == "clustered" or name.endswith("_clustered"):
+    if name == "clustered":
         probe = _clustered_probe(access, store)
     elif name == "idx_tid_id":
         probe = _tid_id_probe(access, store)
     else:
-        columns = runtime.index_columns.get(name)
-        if columns is None:
-            raise LPathCompileError(
-                f"columnar executor cannot resolve index {name!r}"
-            )
-        probe = _projection_probe(access, store, columns)
+        raise LPathCompileError(f"columnar executor cannot resolve index {name!r}")
 
     if access.self_slot is None:
         return probe
@@ -828,38 +824,6 @@ def _tid_id_probe(access: IndexProbe, store: ColumnStore) -> RowProbe:
         return lambda b: store.tid_rows(tid_of(b))
     id_of = _operand_getter(access.eq[1], store)
     return lambda b: store.tid_id_rows(tid_of(b), id_of(b))
-
-
-def _projection_probe(
-    access: IndexProbe, store: ColumnStore, columns: tuple[str, ...]
-) -> RowProbe:
-    """Generic eq-prefix + range probe over a lazily built sorted
-    projection (serves ablation indexes like ``{name, tid, right, ...}``;
-    range columns must be numeric)."""
-    positions = tuple(store.column_names.index(column) for column in columns)
-    eq_getters = [_operand_getter(op, store) for op in access.eq]
-    low = None if access.low is None else _operand_getter(access.low, store)
-    high = None if access.high is None else _operand_getter(access.high, store)
-    include_low, include_high = access.include_low, access.include_high
-
-    def probe(b: Binding) -> Sequence[int]:
-        keys, perm = store.projection(positions)
-        prefix = tuple(getter(b) for getter in eq_getters)
-        if low is None:
-            start = bisect_left(keys, prefix)
-        elif include_low:
-            start = bisect_left(keys, prefix + (low(b),))
-        else:
-            start = bisect_left(keys, prefix + (low(b), inf))
-        if high is None:
-            end = bisect_left(keys, prefix + (inf,))
-        elif include_high:
-            end = bisect_left(keys, prefix + (high(b), inf))
-        else:
-            end = bisect_left(keys, prefix + (high(b),))
-        return perm[start:end]
-
-    return probe
 
 
 def _compile_value_seed(access: ValueSeed, runtime: ColumnarRuntime) -> RowProbe:

@@ -1,9 +1,7 @@
 """Column-oriented storage for the label relation.
 
-The Volcano interpreter materializes every intermediate binding as a wide
-Python tuple and probes sorted indexes of encoded key tuples.  This module
-stores the relation ``node(tid, left, right, depth, id, pid, name, value)``
-as parallel arrays instead:
+This module stores the relation ``node(tid, left, right, depth, id, pid,
+name, value)`` as parallel arrays:
 
 * the six integer columns live in ``array('q')`` buffers, physically
   ordered by the paper's clustered key ``{name, tid, left, right, depth,
@@ -87,7 +85,6 @@ class ColumnStore:
         "children_bounds",
         "_perm_ids",
         "_by_value",
-        "_projections",
         "_name_stats",
     )
 
@@ -139,7 +136,6 @@ class ColumnStore:
         self._build_tid_id_projection()
         self._build_children_index()
         self._by_value: Optional[dict] = None       # built on first value seed
-        self._projections: dict[tuple, tuple] = {}  # generic index projections
         self._name_stats: dict[Optional[str], NameStats] = {}
 
     # -- constructors --------------------------------------------------------
@@ -203,8 +199,7 @@ class ColumnStore:
             if names[row].startswith(ATTRIBUTE_PREFIX):
                 is_attr[row] = 1
             elif pids[row] == 0:
-                # labeling.lpath_scheme.is_root_row over column arrays
-                # (kept tuple-free: this runs on every cold start).
+                # The element row of a tree root.
                 root_right[tids[row]] = rights[row]
         right_edge = bytearray(self.n)
         for row in range(self.n):
@@ -371,22 +366,6 @@ class ColumnStore:
         lo = bisect_left(tids, tid)
         hi = bisect_right(tids, tid, lo)
         return rows[lo:hi]
-
-    # -- generic projections (ablation indexes) ------------------------------
-
-    def projection(self, positions: tuple[int, ...]):
-        """A sorted permutation over arbitrary column positions, for index
-        probes outside the built-in clustered/(tid, id) layouts (e.g. the
-        ablation index ``{name, tid, right, ...}``).  Built lazily, once
-        per column tuple."""
-        cached = self._projections.get(positions)
-        if cached is None:
-            cols = [self.col(position) for position in positions]
-            keys = [tuple(column[row] for column in cols) for row in range(self.n)]
-            perm = sorted(range(self.n), key=keys.__getitem__)
-            keys.sort()
-            cached = self._projections[positions] = (keys, array("q", perm))
-        return cached
 
     # -- string values -------------------------------------------------------
 
@@ -637,7 +616,6 @@ class MappedColumnStore(ColumnStore):
         stats[None] = NameStats(*segment.store_stats)
         self._name_stats = stats
         self._by_value = None
-        self._projections = {}
 
     # -- fault checkpoints ----------------------------------------------------
     #

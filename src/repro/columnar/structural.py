@@ -141,7 +141,7 @@ def merge_spec(node: PlanNode) -> Optional[MergeSpec]:
     access = node.access
     if not isinstance(access, IndexProbe):
         return None
-    if access.index != "clustered" and not access.index.endswith("_clustered"):
+    if access.index != "clustered":
         return None
     if len(access.eq) != 2:
         return None

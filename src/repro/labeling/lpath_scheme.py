@@ -49,27 +49,6 @@ class Label(NamedTuple):
         return self.name.startswith(ATTRIBUTE_PREFIX)
 
 
-_TID, _RIGHT = COLUMNS.index("tid"), COLUMNS.index("right")
-_PID, _NAME = COLUMNS.index("pid"), COLUMNS.index("name")
-
-
-def is_root_row(row) -> bool:
-    """True for the element row of a tree root (``pid == 0``).
-
-    Works on :class:`Label` instances and plain tuples in ``COLUMNS``
-    order — the scheme's own notion of what a root row looks like, so
-    engines rebuilding state from raw label rows need not poke at tuple
-    positions themselves.
-    """
-    return row[_PID] == 0 and not row[_NAME].startswith(ATTRIBUTE_PREFIX)
-
-
-def root_spans(rows: Iterable) -> dict[int, int]:
-    """``{tid: root.right}`` for every root row in ``rows`` — the spans the
-    engine needs to answer right-edge alignment (``$``) outside a scope."""
-    return {row[_TID]: row[_RIGHT] for row in rows if is_root_row(row)}
-
-
 def label_node(node: TreeNode, tid: int) -> Label:
     """The element row for one (already indexed) tree node."""
     return Label(

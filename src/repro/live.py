@@ -524,11 +524,15 @@ class LiveCorpus:
     def base_segment_names(self) -> tuple[str, ...]:
         return tuple(name for name, _ in self.manifest.segments)
 
-    def snapshot(self) -> tuple[tuple[str, ...], list[Label]]:
-        """A consistent (base segment names, delta rows copy) pair for
-        engine builds."""
+    def snapshot(self) -> tuple[tuple[str, ...], list[Label], str]:
+        """A consistent (base segment names, delta rows copy, fingerprint)
+        triple for engine builds: the fingerprint names exactly the rows
+        the other two hold."""
         with self._lock:
-            return self.base_segment_names(), list(self._delta_rows)
+            return (
+                self.base_segment_names(), list(self._delta_rows),
+                self._fingerprint,
+            )
 
     def verify_on_disk(self) -> tuple[bool, Optional[str]]:
         """Does the directory on disk still match this open handle?
@@ -997,7 +1001,7 @@ def open_live_engine(
     corpus = LiveCorpus(path, writable=False)
     corpora_by_name: dict = {}
     try:
-        base_names, delta_rows = corpus.snapshot()
+        base_names, delta_rows, _fingerprint = corpus.snapshot()
         engine = _build_live_engine(
             corpus.root, base_names, delta_rows, corpora_by_name,
             plan_cache_size=plan_cache_size, workers=workers,
@@ -1020,6 +1024,11 @@ class LiveEngineManager:
     swapping in a rebuilt engine after every append/compaction
     (read-your-writes) while retired engines linger for a grace period
     so in-flight queries finish on the snapshot they resolved.
+
+    The served snapshot is published as one ``(engine, fingerprint)``
+    tuple, :attr:`current`, replaced whole under the manager lock: a
+    reader that takes the tuple once can never pair one snapshot's
+    engine with another's fingerprint.
 
     The mapped base corpora are owned *here*, not by any engine
     (``engine._mapped`` stays a no-op for swapped engines), so a swap
@@ -1049,8 +1058,9 @@ class LiveEngineManager:
         self._compact_interval = compact_interval
         self._stop = threading.Event()
         self._thread: Optional[threading.Thread] = None
+        self.current: Optional[tuple] = None
         try:
-            self.engine = self._build()
+            self.current = self._build()
         except BaseException:
             self._close_corpora()
             self.corpus.close()
@@ -1065,22 +1075,24 @@ class LiveEngineManager:
 
     # -- engine builds ---------------------------------------------------------
 
-    def _build(self):
-        base_names, delta_rows = self.corpus.snapshot()
+    def _build(self) -> tuple:
+        """A fresh engine over the corpus's current snapshot, paired with
+        that snapshot's fingerprint."""
+        base_names, delta_rows, fingerprint = self.corpus.snapshot()
         engine = _build_live_engine(
             self.corpus.root, base_names, delta_rows, self._corpora,
             plan_cache_size=self._plan_cache_size, workers=self._workers,
         )
-        return engine
+        return engine, fingerprint
 
     def _swap(self) -> None:
-        """Build a fresh engine over the current snapshot and retire the
-        old one (closed after the grace period)."""
-        new_engine = self._build()
+        """Publish a fresh ``(engine, fingerprint)`` snapshot and retire
+        the old engine (closed after the grace period)."""
+        fresh = self._build()
         now = time.monotonic()
         with self._lock:
-            old = self.engine
-            self.engine = new_engine
+            old, _fingerprint = self.current
+            self.current = fresh
             self._retired.append((now, old))
             keep = []
             for retired_at, engine in self._retired:
@@ -1091,8 +1103,11 @@ class LiveEngineManager:
                     keep.append((retired_at, engine))
             self._retired = keep
 
-    def fingerprint(self) -> str:
-        return self.corpus.fingerprint
+    @property
+    def engine(self):
+        """The engine of the published snapshot (``None`` once closed)."""
+        current = self.current
+        return None if current is None else current[0]
 
     # -- mutations -------------------------------------------------------------
 
@@ -1101,7 +1116,7 @@ class LiveEngineManager:
             result = self.corpus.append_trees(text)
             self._swap()
             self.appends += 1
-            result["fingerprint"] = self.corpus.fingerprint
+            result["fingerprint"] = self.current[1]
             return result
 
     def compact(self) -> dict:
@@ -1171,9 +1186,9 @@ class LiveEngineManager:
         with self._lock:
             engines = [engine for _, engine in self._retired]
             self._retired = []
-            if getattr(self, "engine", None) is not None:
-                engines.append(self.engine)
-                self.engine = None
+            if self.current is not None:
+                engines.append(self.current[0])
+                self.current = None
             for engine in engines:
                 with contextlib.suppress(Exception):
                     engine.close()

@@ -1,18 +1,18 @@
 """Compile LPath queries through the shared logical-plan IR.
 
 Following Section 4 of the paper, every LPath axis becomes a join whose
-condition is the Table 2 label comparison; joins are evaluated index-
-nested-loop style against the paper's physical design (clustered
-``{name, tid, left, ...}`` plus the ``{tid, value, id}``, ``{value, tid,
-id}`` and ``{tid, id, ...}`` secondary indexes).
+condition is the Table 2 label comparison; joins are evaluated against the
+paper's physical design (the clustered ``{name, tid, left, ...}`` order
+plus a ``{tid, id, ...}`` permutation), held as the parallel arrays of a
+:class:`~repro.columnar.store.ColumnStore`.
 
-Since the unified-IR refactor all of the step/predicate machinery lives in
-:mod:`repro.plan` — :mod:`~repro.plan.lower` builds the logical plan with
-the Definition-4.1 axis semantics of
-:class:`~repro.plan.schemes.LPathScheme`, :mod:`~repro.plan.optimizer`
-runs predicate pushdown and (with ``pivot=True``) selectivity-driven join
-reordering, and :mod:`~repro.plan.executor` interprets the result.  This
-module only keeps the engine-facing façade.
+All of the step/predicate machinery lives in :mod:`repro.plan` —
+:mod:`~repro.plan.lower` builds the logical plan with the Definition-4.1
+axis semantics of :class:`~repro.plan.schemes.LPathScheme`,
+:mod:`~repro.plan.optimizer` runs predicate pushdown, cost-based join
+selection and (with ``pivot=True``) selectivity-driven join reordering,
+and :mod:`repro.columnar` executes the result.  This module only keeps the
+engine-facing façade.
 
 The :mod:`repro.plan` imports are deliberately lazy: that package lowers
 *this* package's AST, so importing it at module scope would be circular.
@@ -25,8 +25,6 @@ from typing import Iterable, Union
 from collections import Counter
 
 from ..plan.ir import Aggregate, Limit, PlanNode, ROW_WIDTH, render
-from ..relational.operators import Operator
-from ..relational.table import Table
 from .ast import Path
 from .errors import LPathCompileError
 
@@ -39,12 +37,12 @@ class CompiledQuery:
     ``limit`` carries a logical :class:`~repro.plan.ir.Limit` (top-k in
     output order) the physical plan was compiled under; ``agg`` carries
     an :class:`~repro.plan.ir.Aggregate` operation.  Both are recorded
-    here (the physical executors reject post-output operators) and
-    applied by :meth:`rows` / :meth:`aggregate`."""
+    here (the physical pipeline ends at Distinct/Project) and applied by
+    :meth:`rows` / :meth:`aggregate`."""
 
     def __init__(
         self,
-        plan: Operator,
+        plan,
         result_base: int,
         description: str,
         logical: PlanNode = None,
@@ -60,28 +58,18 @@ class CompiledQuery:
 
     def rows(self) -> Iterable[tuple]:
         """Distinct ``(tid, id)`` pairs of the result step, sorted —
-        truncated to the top-k when the plan carries a limit (the
-        columnar executor terminates early instead of truncating)."""
+        the top-k when the plan carries a limit, found by early
+        termination instead of truncation."""
         if self.limit is not None:
-            limited = getattr(self.plan, "rows_limited", None)
-            if limited is not None:
-                return limited(self.limit)
-            return sorted(self.plan)[: self.limit]
+            return self.plan.rows_limited(self.limit)
         return sorted(self.plan)
 
     def count(self) -> int:
         if self.limit is not None:
             return len(self.rows())
-        fast = getattr(self.plan, "count_rows", None)
-        if fast is not None:
-            # The columnar pipeline counts without materializing a
-            # result list (partition bounds for bare scans, distinct
-            # key cardinality otherwise).
-            return fast()
-        total = 0
-        for _ in self.plan:
-            total += 1
-        return total
+        # Counted without materializing a result list (partition bounds
+        # for bare scans, distinct key cardinality otherwise).
+        return self.plan.count_rows()
 
     def aggregate(self) -> dict:
         """Evaluate the plan's aggregate: ``{"count": n}`` for plain
@@ -105,77 +93,30 @@ class CompiledQuery:
         return "\n".join(parts)
 
 
-EXECUTORS = ("volcano", "columnar")
-
-
 class PlanCompiler:
-    """Compiles parsed LPath queries against one loaded label relation.
+    """Compiles parsed LPath queries against one column store.
 
     Subclasses (the XPath baseline) override :attr:`dialect`,
     :attr:`result_class` and the scheme; the compile pipeline itself —
     parse → lower (pivoted or not) → optimize → physical-compile — exists
-    only here.  Two physical backends serve the same optimized IR: the
-    tuple-at-a-time Volcano interpreter (:mod:`repro.plan.executor`, needs
-    the row ``table``) and the batch columnar executor
-    (:mod:`repro.columnar`, built lazily from the table's rows, or handed
-    a prebuilt ``column_store`` for row-less engines)."""
+    only here, and the batch columnar executor (:mod:`repro.columnar`)
+    runs the optimized IR."""
 
     dialect = "LPath"
     result_class = CompiledQuery
 
-    def __init__(
-        self,
-        table: Table = None,
-        root_right: dict[int, int] = None,
-        scheme=None,
-        column_store=None,
-    ) -> None:
-        from ..plan.executor import Runtime
+    def __init__(self, column_store, scheme=None) -> None:
+        from ..columnar import ColumnarCatalog, ColumnarRuntime
         from ..plan.lower import Lowerer
-        from ..plan.schemes import Catalog, LPathScheme
+        from ..plan.schemes import LPathScheme
 
-        if table is None and column_store is None:
-            raise ValueError("PlanCompiler needs a row table or a column store")
-        self.table = table
-        self.column_store = column_store
-        self.root_right = root_right
         self.scheme = scheme if scheme is not None else LPathScheme()
-        if table is not None:
-            self.catalog = Catalog(table)
-        else:
-            from ..columnar import ColumnarCatalog
-
-            self.catalog = ColumnarCatalog(column_store)
+        self.catalog = ColumnarCatalog(column_store)
         self.lowerer = Lowerer(self.scheme, self.catalog, self.dialect)
-        self.runtime = (
-            Runtime(table, self.scheme, root_right) if table is not None else None
-        )
-        self._columnar_runtime = None
-
-    @property
-    def columnar_runtime(self):
-        """The columnar physical context, built on first use."""
-        if self._columnar_runtime is None:
-            from ..columnar import ColumnStore, ColumnarRuntime
-
-            store = self.column_store
-            if store is None:
-                store = ColumnStore.from_rows(
-                    self.table.scan(), column_names=self.table.schema.columns[:8]
-                )
-                self.column_store = store
-            index_columns = {}
-            if self.table is not None:
-                index_columns = {
-                    name: index.columns for name, index in self.table.indexes.items()
-                }
-            self._columnar_runtime = ColumnarRuntime(
-                store, self.scheme, self.root_right, index_columns
-            )
-        return self._columnar_runtime
+        self.runtime = ColumnarRuntime(column_store, self.scheme)
 
     def compile(
-        self, query: Query, pivot: bool = False, executor: str = "volcano",
+        self, query: Query, pivot: bool = False,
         limit: int = None, agg: str = None,
     ) -> CompiledQuery:
         """Compile a query; ``pivot=True`` enables selectivity-driven join
@@ -184,52 +125,40 @@ class PlanCompiler:
         axes (and downward-only ``exists`` predicates pivot the same way).
         An optimization beyond the paper (see DESIGN.md ablations).
 
-        ``executor`` picks the physical backend for the optimized IR:
-        ``"volcano"`` (tuple-at-a-time interpreter) or ``"columnar"``
-        (batch execution over parallel arrays).  ``limit`` compiles a
-        top-k plan; ``agg`` an aggregate plan (mutually exclusive)."""
+        ``limit`` compiles a top-k plan; ``agg`` an aggregate plan
+        (mutually exclusive)."""
         from ..plan.lower import lower_and_optimize
 
         root, lowered = lower_and_optimize(
-            self.lowerer, query, pivot, executor, limit=limit, agg=agg
+            self.lowerer, query, pivot, limit=limit, agg=agg
         )
-        return self.compile_physical(root, lowered, executor)
+        return self.compile_physical(root, lowered)
 
     def compile_physical(
-        self, root: PlanNode, lowered, executor: str = "volcano"
+        self, root: PlanNode, lowered, executor: str = "columnar"
     ) -> CompiledQuery:
         """Compile an already optimized logical plan against *this*
-        relation.  Split out of :meth:`compile` so a segmented engine can
+        store.  Split out of :meth:`compile` so a segmented engine can
         lower and optimize a query once and physical-compile it against
-        every segment (:mod:`repro.plan.segmented`).
+        every segment (:mod:`repro.plan.segmented`).  ``executor`` names
+        the one physical executor, ``"columnar"``; any other value raises.
 
         A ``Limit``/``Aggregate`` wrapper is peeled off here: the
-        physical executors end their pipelines at Distinct/Project, so
-        the wrapper becomes an attribute of the compiled query (applied
-        in :meth:`CompiledQuery.rows` / :meth:`CompiledQuery.aggregate`)
+        physical pipeline ends at Distinct/Project, so the wrapper
+        becomes an attribute of the compiled query (applied in
+        :meth:`CompiledQuery.rows` / :meth:`CompiledQuery.aggregate`)
         while ``explain()`` still renders it from the logical root."""
+        from ..columnar import compile_plan
+        from ..plan.lower import check_executor
+
+        check_executor(executor)
         inner, limit, agg = root, None, None
         if isinstance(inner, Limit):
             limit, inner = inner.count, inner.input
         elif isinstance(inner, Aggregate):
             agg, inner = inner.op, inner.input
-        if executor == "columnar":
-            from ..columnar import compile_plan as columnar_compile
-
-            physical = columnar_compile(inner, self.columnar_runtime)
-        elif executor == "volcano":
-            if self.runtime is None:
-                raise LPathCompileError(
-                    "this engine has no row storage; use executor='columnar'"
-                )
-            from ..plan.executor import compile_plan
-
-            physical = compile_plan(inner, self.runtime)
-        else:
-            raise LPathCompileError(
-                f"unknown executor {executor!r}; choose from {EXECUTORS}"
-            )
         return self.result_class(
-            physical, lowered.result_slot * ROW_WIDTH, lowered.description,
+            compile_plan(inner, self.runtime),
+            lowered.result_slot * ROW_WIDTH, lowered.description,
             root, limit=limit, agg=agg,
         )

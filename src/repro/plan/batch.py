@@ -19,8 +19,7 @@ intermediate batches.  This module exploits that:
   with reuse annotations pointing at the query that computes the shared
   prefix.
 
-Plans without signatures (the Volcano interpreter, segmented engines)
-participate transparently — they just execute standalone.  Results are
+Plans without signatures (segmented engines) participate transparently — they just execute standalone.  Results are
 byte-identical to per-query execution: the cache only ever substitutes a
 batch for a recomputation of the same step prefix.
 """

@@ -99,25 +99,22 @@ class PlanCache:
 
 
 def compile_options_key(
-    query, pivot: bool, executor: str,
-    limit: Optional[int] = None, agg: Optional[str] = None,
+    query, pivot: bool, limit: Optional[int] = None, agg: Optional[str] = None,
 ) -> tuple:
     """The tuple of everything a compiled plan's output depends on: the
     unparsed query text plus every compile option — ``pivot``, the
-    physical ``executor``, the top-k ``limit``, the ``agg`` operation,
-    the ``REPRO_FORCE_JOIN`` override and the resolved ``REPRO_KERNELS``
-    backend.  Shared between the per-engine plan cache and the serving
-    layer's result cache (:mod:`repro.serve`), so the two caches can
-    never disagree about which knobs distinguish two executions.
-    Resolving the kernel backend raises
-    :class:`~repro.lpath.errors.LPathError` on an invalid or
+    top-k ``limit``, the ``agg`` operation, the ``REPRO_FORCE_JOIN``
+    override and the resolved ``REPRO_KERNELS`` backend.  Shared between
+    the per-engine plan cache and the serving layer's result cache
+    (:mod:`repro.serve`), so the two caches can never disagree about
+    which knobs distinguish two executions.  Resolving the kernel backend
+    raises :class:`~repro.lpath.errors.LPathError` on an invalid or
     forced-but-unavailable ``REPRO_KERNELS`` value."""
     from ..columnar.kernels.api import kernels_backend
 
     return (
         (query if isinstance(query, str) else str(query)),
         pivot,
-        executor,
         limit,
         agg,
         os.environ.get("REPRO_FORCE_JOIN") or None,
@@ -127,25 +124,22 @@ def compile_options_key(
 
 def cached_compile(
     cache: PlanCache, compiler, query, pivot: bool = False,
-    executor: str = "volcano",
     limit: Optional[int] = None, agg: Optional[str] = None,
 ):
     """Compile ``query`` through ``cache``, keyed on
     :func:`compile_options_key`, so a warm hit can never return a plan
-    compiled for the other executor, the other join order, the other
-    physical-join mode, the other kernel backend (plans bind their
-    backend at compile time), or a different limit/aggregate wrapper.
+    compiled for the other join order, the other physical-join mode, the
+    other kernel backend (plans bind their backend at compile time), or
+    a different limit/aggregate wrapper.
 
     The lookup happens before any parsing, so a warm hit skips the whole
     parse → lower → optimize pipeline; AST queries key on their unparse,
     which round-trips, so they share entries with their textual form.
     """
-    key = compile_options_key(query, pivot, executor, limit=limit, agg=agg)
+    key = compile_options_key(query, pivot, limit=limit, agg=agg)
     cached = cache.get(key)
     if cached is not None:
         return cached
-    compiled = compiler.compile(
-        query, pivot=pivot, executor=executor, limit=limit, agg=agg
-    )
+    compiled = compiler.compile(query, pivot=pivot, limit=limit, agg=agg)
     cache.put(key, compiled)
     return compiled

@@ -16,7 +16,7 @@ Conditions are first-class predicate trees (:class:`Cmp`, :class:`AllPred`,
 :class:`ExistsPred`, ...) whose operands name binding columns by
 ``(slot, column)``; the optimizer can therefore reason about which slots a
 condition touches, push conditions into probes, and reorder joins.  The
-single physical interpreter in :mod:`repro.plan.executor` turns the IR into
+columnar executor (:mod:`repro.columnar.executor`) turns the IR into
 runnable plans for either labeling scheme.
 """
 
@@ -307,8 +307,7 @@ class Join(PlanNode):
     algorithm for batch execution — ``"merge"`` (set-at-a-time structural
     merge join over the sorted span columns) or ``"probe"`` (per-binding
     index probe); ``None`` means the join shape admits no structural
-    variant (or the plan targets the Volcano interpreter, which only
-    probes).  ``est_in`` is the estimated input cardinality the choice was
+    variant.  ``est_in`` is the estimated input cardinality the choice was
     based on."""
 
     input: PlanNode

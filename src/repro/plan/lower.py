@@ -71,7 +71,7 @@ from .ir import (
     ValueSeed,
     D, I, L, N, P, R, T,
 )
-from .schemes import Catalog, DOWNWARD_AXES, LabelScheme
+from .schemes import DOWNWARD_AXES, LabelScheme
 
 _FLIPPED_OPS = {"<": ">", ">": "<", "<=": ">=", ">=": "<=", "=": "=", "!=": "!="}
 
@@ -85,16 +85,25 @@ class LoweredQuery:
     description: str
 
 
+def check_executor(executor: str) -> None:
+    """Reject any physical executor but the one there is, ``"columnar"``
+    (the name survives as an argument of the compile entry points)."""
+    if executor != "columnar":
+        raise LPathCompileError(
+            f"unknown executor {executor!r}; the only physical executor "
+            "is 'columnar'"
+        )
+
+
 def lower_and_optimize(
-    lowerer: "Lowerer", query, pivot: bool = False, executor: str = "volcano",
+    lowerer: "Lowerer", query, pivot: bool = False, executor: str = "columnar",
     limit: Optional[int] = None, agg: Optional[str] = None,
 ) -> tuple[PlanNode, LoweredQuery]:
     """The logical half of every compile: parse (if text), lower —
     pivoted when requested and applicable, plain otherwise — and
     optimize.  Shared by the monolithic compilers and the segmented
     driver so the pivot-fallback and optimizer invocation can never
-    diverge between them.  ``executor`` reaches the optimizer so plans
-    bound for the batch executor carry their physical-join annotations.
+    diverge between them.  ``executor`` must be ``"columnar"``.
 
     ``limit`` wraps the optimized plan in a :class:`~repro.plan.ir.Limit`
     (top-k in output order); ``agg`` wraps it in an
@@ -106,6 +115,7 @@ def lower_and_optimize(
     from ..lpath.parser import parse
     from .optimizer import optimize
 
+    check_executor(executor)
     if limit is not None and agg is not None:
         raise LPathCompileError("limit and agg cannot be combined")
     if limit is not None and limit < 0:
@@ -118,7 +128,7 @@ def lower_and_optimize(
     lowered = lowerer.lower_pivot(path) if pivot else None
     if lowered is None:
         lowered = lowerer.lower(path)
-    root = optimize(lowered.root, lowerer, pivot=pivot, executor=executor)
+    root = optimize(lowered.root, lowerer, pivot=pivot)
     slot = lowered.result_slot
     if agg in ("count_by_name", "count_by_depth"):
         group_col = N if agg == "count_by_name" else D
@@ -134,7 +144,7 @@ def lower_and_optimize(
 class Lowerer:
     """Lower parsed queries to the shared IR for one engine instance."""
 
-    def __init__(self, scheme: LabelScheme, catalog: Catalog, dialect: str) -> None:
+    def __init__(self, scheme: LabelScheme, catalog, dialect: str) -> None:
         self.scheme = scheme
         self.catalog = catalog
         self.dialect = dialect

@@ -7,7 +7,7 @@ Four passes run between lowering and execution, for both dialects:
   :class:`Scan`/:class:`Join` whose bound slots cover it, and equality
   conditions on the ``name`` column upgrade the access path itself (a
   table scan, or the per-tree ``idx_tid_id`` fallback probe, becomes a
-  clustered name probe chosen through the relational planner);
+  clustered name probe chosen through the catalog's access paths);
 * :func:`reorder_exists_subplans` — the selectivity-driven join
   reordering of ``pivot=True`` generalized to correlated ``exists``
   predicate subplans: a downward-only chain is re-lowered to start at its
@@ -18,7 +18,7 @@ Four passes run between lowering and execution, for both dialects:
   statistics available, subplan predicates of the same shape additionally
   order by their estimated seed cardinality (the rarest ``exists`` runs
   first) instead of the static cost class alone;
-* :func:`annotate_join_physical` (batch executor only) — the cost-based
+* :func:`annotate_join_physical` — the cost-based
   physical-join selection: every merge-eligible ``Join`` is costed as a
   per-binding probe join vs. a set-at-a-time structural merge join using
   the collected per-name cardinality/partition/depth statistics, and the
@@ -61,33 +61,22 @@ from .ir import (
     N,
 )
 from .lower import Lowerer
-from .schemes import Catalog
 
 
-def optimize(
-    root: PlanNode,
-    lowerer: Lowerer,
-    pivot: bool = False,
-    executor: str = "volcano",
-) -> PlanNode:
-    """Run every pass; returns the (mutated) root.
-
-    ``executor`` names the physical backend the plan is destined for —
-    the batch executor additionally gets per-join physical selection
-    (probe vs. structural merge) annotated from catalog statistics."""
+def optimize(root: PlanNode, lowerer: Lowerer, pivot: bool = False) -> PlanNode:
+    """Run every pass; returns the (mutated) root."""
     if pivot:
         reorder_exists_subplans(root, lowerer)
     root = push_down(root, lowerer.catalog)
     order_conditions(root, lowerer.catalog)
-    if executor == "columnar":
-        annotate_join_physical(root, lowerer.catalog)
+    annotate_join_physical(root, lowerer.catalog)
     return root
 
 
 # -- predicate pushdown -------------------------------------------------------
 
 
-def push_down(root: PlanNode, catalog: Catalog) -> PlanNode:
+def push_down(root: PlanNode, catalog) -> PlanNode:
     """Sink Filter conditions down the main pipeline and upgrade access
     paths that a sunk name-equality condition can narrow."""
     chain = linearize(root)
@@ -134,7 +123,7 @@ def _sink_target(
     return None
 
 
-def _upgrade_access(node, catalog: Catalog) -> None:
+def _upgrade_access(node, catalog) -> None:
     """Turn a broad access path plus a name-equality condition into a
     clustered name probe (predicate pushdown into the index)."""
     name_cond = None

@@ -8,9 +8,8 @@ only).  Everything the shared lowerer must know per scheme lives here:
 
 * which axes an engine supports (:meth:`LabelScheme.validate`),
 * the access path and residual conditions of a named-test step
-  (:meth:`LabelScheme.named_probe`), chosen through
-  :func:`repro.relational.planner.choose_access_path` so ablation indexes
-  (``idx_name_tid_right``) are picked up automatically,
+  (:meth:`LabelScheme.named_probe`), chosen through the catalog's
+  :meth:`~repro.columnar.catalog.ColumnarCatalog.access_path`,
 * the full Table-2 residuals for probes the index cannot narrow
   (:meth:`LabelScheme.axis_conditions`),
 * axis inverses for selectivity-driven join reordering.
@@ -18,13 +17,11 @@ only).  Everything the shared lowerer must know per scheme lives here:
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Optional
 
 from ..lpath.ast import Scope
 from ..lpath.axes import Axis, CONDITIONS, OR_SELF_BASES
 from ..lpath.errors import LPathCompileError
-from ..relational.planner import choose_access_path
-from ..relational.table import Table
 from .ir import (
     Access,
     AllPred,
@@ -115,84 +112,6 @@ _LPATH_INVERSES = {
 _COLUMN_POSITIONS = {"tid": T, "left": L, "right": R, "depth": D, "id": I, "pid": P}
 
 
-class Catalog:
-    """What the lowerer and optimizer may ask about the physical side of
-    one engine: sizes, access paths, and the collected per-name
-    cardinality/partition/depth statistics behind the cost-based join
-    selection."""
-
-    def __init__(self, table: Table) -> None:
-        self.table = table
-        self._tree_count: Optional[int] = None
-        self._name_stats: dict = {}
-
-    def size(self) -> int:
-        return len(self.table)
-
-    def frequency(self, name: Optional[str]) -> int:
-        """Rows carrying ``name`` (table size for the wildcard)."""
-        if name is None:
-            return len(self.table)
-        return self.table.clustered.count_eq((name,))
-
-    def tree_count(self) -> int:
-        """Distinct trees in the relation (one pass, cached)."""
-        if self._tree_count is None:
-            self._tree_count = len({row[0] for row in self.table.scan()})
-        return self._tree_count
-
-    def name_stats(self, name: Optional[str]):
-        """Cardinality/partition/depth statistics for one name (or the
-        whole relation for ``None``); one pass over the clustered name
-        block, cached per name."""
-        from ..columnar.store import NameStats
-
-        cached = self._name_stats.get(name)
-        if cached is not None:
-            return cached
-        count = max_partition = 0
-        min_depth = max_depth = 0
-        if name is None:
-            per_tree: dict = {}
-            for row in self.table.scan():
-                count += 1
-                depth = row[3]
-                if count == 1:
-                    min_depth = max_depth = depth
-                elif depth < min_depth:
-                    min_depth = depth
-                elif depth > max_depth:
-                    max_depth = depth
-                per_tree[row[0]] = per_tree.get(row[0], 0) + 1
-            partitions = len(per_tree)
-            max_partition = max(per_tree.values(), default=0)
-        else:
-            partitions = run = 0
-            current_tid = object()
-            for row in self.table.clustered.scan_eq((name,)):
-                count += 1
-                depth = row[3]
-                if count == 1:
-                    min_depth = max_depth = depth
-                elif depth < min_depth:
-                    min_depth = depth
-                elif depth > max_depth:
-                    max_depth = depth
-                if row[0] != current_tid:
-                    current_tid = row[0]
-                    partitions += 1
-                    run = 0
-                run += 1
-                if run > max_partition:
-                    max_partition = run
-        stats = NameStats(count, partitions, max_partition, min_depth, max_depth)
-        self._name_stats[name] = stats
-        return stats
-
-    def access_path(self, eq_columns: Sequence[str], range_column: Optional[str]):
-        return choose_access_path(self.table, eq_columns, range_column)
-
-
 class LabelScheme:
     """Base adapter; see :class:`LPathScheme` and :class:`StartEndScheme`."""
 
@@ -215,7 +134,7 @@ class LabelScheme:
         ctx: int,
         cand: int,
         scope: Optional[int],
-        catalog: Catalog,
+        catalog,
     ) -> tuple[Access, list[Pred]]:
         raise NotImplementedError
 
@@ -227,7 +146,7 @@ class LabelScheme:
 
     # -- shared helpers ------------------------------------------------------
 
-    def _clustered_range(self, catalog: Catalog) -> str:
+    def _clustered_range(self, catalog) -> str:
         path = catalog.access_path(("name", "tid"), self.low_column)
         if path is None:  # pragma: no cover - the clustered index always matches
             raise LPathCompileError("no access path for a named step")
@@ -295,7 +214,7 @@ class LPathScheme(LabelScheme):
         ctx: int,
         cand: int,
         scope: Optional[int],
-        catalog: Catalog,
+        catalog,
     ) -> tuple[Access, list[Pred]]:
         clustered = self._clustered_range(catalog)
         eq = (Const(name), Col(ctx, T))
@@ -339,8 +258,7 @@ class LPathScheme(LabelScheme):
                 conds.append(Cmp(Col(cand, P), "=", Col(ctx, P)))
         elif axis in (Axis.PRECEDING_OR_SELF, Axis.PRECEDING_SIBLING_OR_SELF):
             access = self._preceding_probe(
-                name, ctx, scope_low, equality=False, catalog=catalog,
-                self_slot=ctx, self_name=name,
+                name, ctx, scope_low, catalog, self_slot=ctx, self_name=name,
             )
             or_self = AnyPred(
                 (Cmp(Col(cand, R), "<=", Col(ctx, L)), Cmp(Col(cand, I), "=", Col(ctx, I)))
@@ -350,11 +268,10 @@ class LPathScheme(LabelScheme):
             else:
                 conds += [Cmp(Col(cand, P), "=", Col(ctx, P)), or_self]
         elif axis is Axis.IMMEDIATE_PRECEDING:
-            access = self._preceding_probe(name, ctx, scope_low, equality=True, catalog=catalog)
-            if not self._has_reverse_range(catalog):
-                conds.append(Cmp(Col(cand, R), "=", Col(ctx, L)))
+            access = self._preceding_probe(name, ctx, scope_low, catalog)
+            conds.append(Cmp(Col(cand, R), "=", Col(ctx, L)))
         elif axis is Axis.PRECEDING:
-            access = self._preceding_probe(name, ctx, scope_low, equality=False, catalog=catalog)
+            access = self._preceding_probe(name, ctx, scope_low, catalog)
             conds.append(Cmp(Col(cand, R), "<=", Col(ctx, L)))
         elif axis is Axis.IMMEDIATE_FOLLOWING_SIBLING:
             access = IndexProbe(clustered, eq, low=Col(ctx, R), high=Col(ctx, R))
@@ -363,29 +280,22 @@ class LPathScheme(LabelScheme):
             access = IndexProbe(clustered, eq, low=Col(ctx, R))
             conds.append(Cmp(Col(cand, P), "=", Col(ctx, P)))
         elif axis is Axis.IMMEDIATE_PRECEDING_SIBLING:
-            access = self._preceding_probe(name, ctx, scope_low, equality=True, catalog=catalog)
+            access = self._preceding_probe(name, ctx, scope_low, catalog)
             conds.append(Cmp(Col(cand, P), "=", Col(ctx, P)))
-            if not self._has_reverse_range(catalog):
-                conds.append(Cmp(Col(cand, R), "=", Col(ctx, L)))
+            conds.append(Cmp(Col(cand, R), "=", Col(ctx, L)))
         elif axis is Axis.PRECEDING_SIBLING:
-            access = self._preceding_probe(name, ctx, scope_low, equality=False, catalog=catalog)
+            access = self._preceding_probe(name, ctx, scope_low, catalog)
             conds += [Cmp(Col(cand, P), "=", Col(ctx, P)), Cmp(Col(cand, R), "<=", Col(ctx, L))]
         else:  # pragma: no cover - SELF/ATTRIBUTE/PARENT handled by the lowerer
             raise LPathCompileError(f"unsupported axis {axis.value}")
         return access, conds
-
-    def _has_reverse_range(self, catalog: Catalog) -> bool:
-        """Does an index lead on ``(name, tid, right)`` (the ablation index)?"""
-        path = catalog.access_path(("name", "tid"), self.high_column)
-        return path is not None and path.range_column == self.high_column
 
     def _preceding_probe(
         self,
         name: str,
         ctx: int,
         scope_low,
-        equality: bool,
-        catalog: Catalog,
+        catalog,
         self_slot: Optional[int] = None,
         self_name: Optional[str] = None,
     ) -> Access:
@@ -393,18 +303,8 @@ class LPathScheme(LabelScheme):
 
         The paper's physical design has no index leading on ``right``, so
         preceding probes range-scan ``left < c.left`` and filter on
-        ``right`` — unless the ablation index ``{name, tid, right}`` exists,
-        in which case immediate-preceding becomes an equality probe.
+        ``right``.
         """
-        if equality:
-            path = catalog.access_path(("name", "tid"), self.high_column)
-            if path is not None and path.range_column == self.high_column:
-                return IndexProbe(
-                    path.index.name,
-                    (Const(name), Col(ctx, T)),
-                    low=Col(ctx, L),
-                    high=Col(ctx, L),
-                )
         return IndexProbe(
             self._clustered_range(catalog),
             (Const(name), Col(ctx, T)),
@@ -492,7 +392,7 @@ class StartEndScheme(LabelScheme):
         ctx: int,
         cand: int,
         scope: Optional[int],
-        catalog: Catalog,
+        catalog,
     ) -> tuple[Access, list[Pred]]:
         clustered = self._clustered_range(catalog)
         eq = (Const(name), Col(ctx, T))

@@ -1,7 +1,7 @@
 """Segment-aware plan compilation and execution.
 
 A segmented engine shards its corpus by tree (``tid``) into N independent
-:class:`Segment`\\ s — each one a complete physical context (row table or
+:class:`Segment`\\ s — each one a complete physical context (a
 :class:`~repro.columnar.ColumnStore`) over a disjoint set of trees.
 Because every query result row belongs to exactly one tree, running the
 same plan against each segment and merging the per-segment ``(tid, id)``
@@ -16,7 +16,7 @@ The division of labor:
   physical-compile the optimized IR per segment through the regular
   :meth:`~repro.lpath.compiler.PlanCompiler.compile_physical`.  The
   per-engine plan cache stores the resulting :class:`SegmentedQuery`
-  under the same ``(query, pivot, executor)`` key as a monolithic plan —
+  under the same compile-options key as a monolithic plan —
   the cache is segment-count-agnostic.
 * :class:`SegmentedQuery` — drives the per-segment plans, optionally on a
   thread pool supplied by the owning engine, and merges the sorted
@@ -243,7 +243,6 @@ class RemoteTask(NamedTuple):
     spec: RemoteSpec
     query: str
     pivot: bool
-    executor: str
     force: Optional[str]
     kernels: Optional[str] = None    # the REPRO_KERNELS mode, same contract
     limit: Optional[int] = None      # per-segment top-k (parent truncates)
@@ -276,14 +275,12 @@ def _worker_segment(spec: RemoteSpec, index: int):
 
             store = MappedColumnStore(segment, column_names=XNODE_COLUMNS)
             axes = frozenset(Axis[name] for name in spec.axes or ())
-            compiler = XPathPlanCompiler(column_store=store, axes=axes)
+            compiler = XPathPlanCompiler(store, axes=axes)
         else:
             from ..lpath.compiler import PlanCompiler
 
             store = MappedColumnStore(segment)
-            compiler = PlanCompiler(
-                column_store=store, root_right=store.root_right
-            )
+            compiler = PlanCompiler(store)
         entry = _WORKER_SEGMENTS[key] = (compiler, PlanCache())
     return entry
 
@@ -309,7 +306,7 @@ def _execute_segment(task: RemoteTask, index: int, kind: str):
             os.environ[env] = value
     try:
         compiled = cached_compile(
-            cache, compiler, task.query, task.pivot, executor=task.executor,
+            cache, compiler, task.query, task.pivot,
             limit=task.limit, agg=task.agg,
         )
         if kind == "count":
@@ -571,8 +568,8 @@ class SegmentedPlanCompiler:
     """Compile queries once, execute them against every segment.
 
     Mirrors the :class:`~repro.lpath.compiler.PlanCompiler` surface the
-    engines and the plan cache consume (``compile(query, pivot,
-    executor)``), so an engine swaps monolithic for segmented compilation
+    engines and the plan cache consume (``compile(query, pivot, limit,
+    agg)``), so an engine swaps monolithic for segmented compilation
     without touching its query paths.  Works for both dialects — the
     per-segment compilers carry the scheme, dialect and result class."""
 
@@ -596,7 +593,7 @@ class SegmentedPlanCompiler:
         self.remote = remote
 
     def compile(
-        self, query, pivot: bool = False, executor: str = "volcano",
+        self, query, pivot: bool = False,
         limit: Optional[int] = None, agg: Optional[str] = None,
     ) -> SegmentedQuery:
         """One logical compile, N physical compiles, one merged result.
@@ -608,10 +605,10 @@ class SegmentedPlanCompiler:
         :class:`RemoteTask` so a process pool can re-run the same query
         worker-side without pickling any plan or store."""
         root, lowered = lower_and_optimize(
-            self.lowerer, query, pivot, executor, limit=limit, agg=agg
+            self.lowerer, query, pivot, limit=limit, agg=agg
         )
         parts = [
-            segment.compiler.compile_physical(root, lowered, executor)
+            segment.compiler.compile_physical(root, lowered)
             for segment in self.segments
         ]
         remote_task = None
@@ -623,7 +620,6 @@ class SegmentedPlanCompiler:
                 self.remote,
                 query if isinstance(query, str) else str(query),
                 pivot,
-                executor,
                 force_mode(),
                 os.environ.get(KERNELS_ENV) or None,
                 limit,

@@ -1,6 +1,11 @@
-"""A mini relational engine: tables, indexes, iterator operators, planning."""
+"""The paper's Section 5 relational design and the SQLite oracle.
 
-from . import expression, operators
+:func:`create_node_table` builds the label relation with the paper's
+clustered key and secondary indexes over the mini engine's sorted
+indexes; :class:`SQLiteBackend` runs the emitted SQL over the same
+design in SQLite, an independent executor of the Section 4 translation.
+"""
+
 from .database import (
     Database,
     NODE_CLUSTERED_KEY,
@@ -9,7 +14,7 @@ from .database import (
     create_node_table,
 )
 from .index import SortedIndex
-from .planner import AccessPath, choose_access_path, match_index
+from .planner import AccessPath, match_index
 from .schema import Row, Schema, SchemaError, encode_component, encode_key
 from .sqlite_backend import SQLiteBackend, quote_identifier
 from .table import Table
@@ -26,12 +31,9 @@ __all__ = [
     "SortedIndex",
     "SQLiteBackend",
     "Table",
-    "choose_access_path",
     "create_node_table",
     "encode_component",
     "encode_key",
-    "expression",
     "match_index",
-    "operators",
     "quote_identifier",
 ]

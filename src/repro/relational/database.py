@@ -52,19 +52,11 @@ class Database:
 
 
 def create_node_table(
-    db: Database, rows: Iterable[Row], name: str = "node",
-    extra_indexes: bool = False,
+    db: Database, rows: Iterable[Row], name: str = "node"
 ) -> Table:
-    """Create and load the label relation with the paper's physical design.
-
-    ``extra_indexes=True`` additionally builds a ``(name, tid, right)``
-    index, an extension the paper does not use; it accelerates the reverse
-    horizontal axes and is measured by the ablation benchmark.
-    """
+    """Create and load the label relation with the paper's physical design."""
     table = db.create_table(name, NODE_COLUMNS, NODE_CLUSTERED_KEY)
     table.load(rows)
     for index_name, columns in NODE_SECONDARY_INDEXES.items():
         table.create_index(index_name, columns)
-    if extra_indexes:
-        table.create_index("idx_name_tid_right", ("name", "tid", "right", "left", "depth", "id", "pid"))
     return table

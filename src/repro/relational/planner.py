@@ -1,21 +1,18 @@
-"""Heuristic access-path selection.
+"""Heuristic access-path scoring.
 
 The shared plan lowerer (:mod:`repro.plan`) knows, per query step, which
 columns of the label relation are equality-constrained (``name``, ``tid``,
 sometimes ``id`` or ``pid``) and which single column carries a range
-constraint (``left`` or ``start``, or ``right`` when the ablation index
-exists).  The planner picks the index whose key prefix covers the most of
-those constraints, modelling the clustered-index-first behaviour of the
-paper's commercial RDBMS; both labeling schemes' probes and the
-optimizer's pushdown upgrades go through :func:`choose_access_path`.
+constraint (``left`` or ``start``).  :func:`match_index` scores how much
+of an index's key prefix covers those constraints, modelling the
+clustered-index-first behaviour of the paper's commercial RDBMS; the
+columnar catalog (:class:`repro.columnar.catalog.ColumnarCatalog`) picks
+the best-scoring of its physical layouts with it.
 """
 
 from __future__ import annotations
 
 from typing import Optional, Sequence
-
-from .index import SortedIndex
-from .table import Table
 
 
 class AccessPath:
@@ -25,7 +22,7 @@ class AccessPath:
 
     def __init__(
         self,
-        index: SortedIndex,
+        index,
         eq_columns: tuple[str, ...],
         range_column: Optional[str],
         score: float,
@@ -43,7 +40,7 @@ class AccessPath:
 
 
 def match_index(
-    index: SortedIndex, eq_columns: Sequence[str], range_column: Optional[str]
+    index, eq_columns: Sequence[str], range_column: Optional[str]
 ) -> Optional[AccessPath]:
     """How well one index serves the constraints; ``None`` when useless."""
     available = set(eq_columns)
@@ -63,21 +60,3 @@ def match_index(
         return None
     score = len(usable) + (0.5 if range_usable else 0.0)
     return AccessPath(index, tuple(usable), range_column if range_usable else None, score)
-
-
-def choose_access_path(
-    table: Table, eq_columns: Sequence[str], range_column: Optional[str] = None
-) -> Optional[AccessPath]:
-    """The best access path over all of the table's indexes.
-
-    Prefers the highest score; ties go to the clustered index (sequential
-    access), then to the index declared first.
-    """
-    best: Optional[AccessPath] = None
-    for index in table.all_indexes():
-        candidate = match_index(index, eq_columns, range_column)
-        if candidate is None:
-            continue
-        if best is None or candidate.score > best.score:
-            best = candidate
-    return best

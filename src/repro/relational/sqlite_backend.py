@@ -1,10 +1,11 @@
 """SQLite backend: executes the SQL text the LPath compiler emits.
 
-The paper feeds its translated SQL to a commercial RDBMS.  We keep our own
-mini engine as the primary backend (full control over physical design), and
-use the standard library's SQLite as an *independent executor of the same
-SQL text* — a differential oracle: for every query,
-``mini_engine(plan) == sqlite(emitted SQL)`` must hold.
+The paper feeds its translated SQL to a commercial RDBMS.  The engines
+run their own columnar executor (full control over physical design), and
+the standard library's SQLite serves as an *independent executor of the
+emitted SQL text* over the paper's Section 5 indexes — a differential
+oracle: for every query, ``engine(plan) == sqlite(emitted SQL)`` must
+hold.
 """
 
 from __future__ import annotations

@@ -213,10 +213,15 @@ class StoreSpec:
 
 class StoreHandle:
     """A served store: the shared engine, its cached identity, and its
-    health state (mutated only under the owning service's lock)."""
+    health state (mutated only under the owning service's lock).
+
+    ``engine``/``fingerprint`` are the fixed identity of an immutable
+    file; a live store leaves them ``None`` and publishes its current
+    pair through its manager instead (see :meth:`snapshot`)."""
 
     def __init__(
-        self, spec: StoreSpec, engine, fingerprint: str, live=None
+        self, spec: StoreSpec, engine=None, fingerprint: Optional[str] = None,
+        live=None,
     ) -> None:
         self.spec = spec
         self.engine = engine
@@ -232,6 +237,16 @@ class StoreHandle:
         self.quarantine_reason: Optional[str] = None
         #: Times this store has entered quarantine over its lifetime.
         self.quarantines = 0
+
+    def snapshot(self) -> tuple:
+        """The ``(engine, fingerprint)`` pair one request is answered
+        with.  A request reads it once and uses that engine for the
+        execution and that fingerprint for the result-cache key, so an
+        append that swaps a live store's engine mid-request can never
+        cache an old engine's rows under the new snapshot's identity."""
+        if self.live is not None:
+            return self.live.current
+        return self.engine, self.fingerprint
 
     def verify(self) -> tuple[bool, Optional[str]]:
         """Re-fingerprint the on-disk file against the identity taken at
@@ -266,11 +281,11 @@ class StoreHandle:
         }
 
     def describe(self) -> dict:
-        engine = self.engine
+        engine, fingerprint = self.snapshot()
         document = {
             "path": self.spec.path,
             "dialect": self.spec.dialect,
-            "fingerprint": self.fingerprint,
+            "fingerprint": fingerprint,
             "segments": engine.segments,
             "workers": engine.workers,
             "mode": engine.mode,
@@ -508,16 +523,12 @@ class QueryService:
                 )
             except ValueError as error:  # StoreError: lock held, corrupt…
                 raise LPathError(str(error)) from error
-            self._warm(manager.engine)
-            self._stores[spec.path] = StoreHandle(
-                spec, manager.engine, manager.fingerprint(), live=manager
-            )
+            self._stores[spec.path] = StoreHandle(spec, live=manager)
             if self._default is None:
                 self._default = spec.path
             return
         fingerprint = store_module.store_fingerprint(spec.path)
         engine = self._open_engine(spec, workers, mode)
-        self._warm(engine)
         self._stores[spec.path] = StoreHandle(spec, engine, fingerprint)
         if self._default is None:
             self._default = spec.path
@@ -541,20 +552,6 @@ class QueryService:
             spec.path, workers=workers, mode=mode
         )
 
-    @staticmethod
-    def _warm(engine) -> None:
-        """Materialize the lazily built columnar runtimes while still
-        single-threaded, so the first burst of concurrent requests finds
-        every per-segment physical context already in place."""
-        compilers = getattr(engine, "_compiler", None)
-        segments = getattr(compilers, "segments", None)
-        for compiler in (
-            [segment.compiler for segment in segments]
-            if segments is not None else [compilers]
-        ):
-            if compiler is not None and compiler.column_store is not None:
-                compiler.columnar_runtime
-
     def _resolve(self, path: Optional[str]) -> StoreHandle:
         if path is None:
             handle = self._stores[self._default]
@@ -566,14 +563,6 @@ class QueryService:
                     f"store {path!r} is not served here "
                     f"(serving: {sorted(self._stores)})",
                 )
-        if handle.live is not None:
-            # Follow the log: a background compaction (or an append on
-            # another connection) may have swapped the engine since this
-            # handle was last touched.  The fingerprint moves with it,
-            # which is what gives the result cache read-your-writes.
-            with self._lock:
-                handle.engine = handle.live.engine
-                handle.fingerprint = handle.live.fingerprint()
         return handle
 
     # -- the request path ---------------------------------------------------
@@ -587,13 +576,18 @@ class QueryService:
         request = QueryRequest(params)
         handle = self._resolve(request.store)
         self._check_store(handle)
-        key = self._result_key(handle, request)
+        # Pinned once: a live store's append or compaction may swap in a
+        # new (engine, fingerprint) pair while this request runs.  Its
+        # fingerprint moves with the engine, which is what gives the
+        # result cache read-your-writes.
+        engine, fingerprint = handle.snapshot()
+        key = self._result_key(handle, fingerprint, request)
         started = time.perf_counter()
         rows = self.results.get_rows(key)
         cached = rows is not None
         if not cached:
             self._check_breaker()
-            rows = self._execute_uncached(handle, request, key)
+            rows = self._execute_uncached(handle, engine, request, key)
         elapsed_ms = (time.perf_counter() - started) * 1000.0
         return self._page(rows, request, cached, elapsed_ms)
 
@@ -646,8 +640,6 @@ class QueryService:
             self._release()
         with self._lock:
             self.appends += 1
-            handle.engine = handle.live.engine
-            handle.fingerprint = result["fingerprint"]
             handle.consecutive_failures = 0
         return result
 
@@ -728,10 +720,12 @@ class QueryService:
                 handle.quarantine_reason = message
         return message
 
-    def _result_key(self, handle: StoreHandle, request: QueryRequest) -> tuple:
+    def _result_key(
+        self, handle: StoreHandle, fingerprint: str, request: QueryRequest
+    ) -> tuple:
         try:
             key = self.results.key(
-                handle.fingerprint, request.dialect, request.query,
+                fingerprint, request.dialect, request.query,
                 request.pivot, limit=request.top_k, agg=request.agg,
             )
         except ServeError:
@@ -786,7 +780,10 @@ class QueryService:
             members.append(QueryRequest({**defaults, **entry}))
         handle = self._resolve(members[0].store)
         self._check_store(handle)
-        keys = [self._result_key(handle, member) for member in members]
+        engine, fingerprint = handle.snapshot()
+        keys = [
+            self._result_key(handle, fingerprint, member) for member in members
+        ]
         if any(member.store != members[0].store for member in members):
             raise ServeError(
                 400, "all queries in one batch must target the same store"
@@ -798,9 +795,9 @@ class QueryService:
             budget = min(budget, *timeouts)
         ticket = _Ticket(time.monotonic() + budget)
         self._admit(ticket)
-        return self._stream_batch(handle, members, keys, ticket)
+        return self._stream_batch(handle, engine, members, keys, ticket)
 
-    def _stream_batch(self, handle, members, keys, ticket):
+    def _stream_batch(self, handle, engine, members, keys, ticket):
         from ..plan.batch import BatchState
 
         batch_started = time.perf_counter()
@@ -815,7 +812,7 @@ class QueryService:
                 if keys[index] in self.results:  # hit counted on its turn
                     continue
                 try:
-                    compiled[index] = handle.engine.compile(
+                    compiled[index] = engine.compile(
                         member.query, pivot=member.pivot,
                         limit=member.top_k, agg=member.agg,
                     )
@@ -846,7 +843,7 @@ class QueryService:
                             # A racing request cached this result after
                             # the upfront pass; recompile is a plan-cache
                             # hit.
-                            plan = handle.engine.compile(
+                            plan = engine.compile(
                                 member.query, pivot=member.pivot,
                                 limit=member.top_k, agg=member.agg,
                             )
@@ -925,7 +922,7 @@ class QueryService:
         return endpoints
 
     def _execute_uncached(
-        self, handle: StoreHandle, request: QueryRequest, key: tuple
+        self, handle: StoreHandle, engine, request: QueryRequest, key: tuple
     ) -> tuple:
         budget = self.timeout
         if request.timeout is not None:
@@ -933,7 +930,7 @@ class QueryService:
         ticket = _Ticket(time.monotonic() + budget)
         self._admit(ticket)
         try:
-            future = self._pool.submit(self._run, handle, request, ticket)
+            future = self._pool.submit(self._run, engine, request, ticket)
             try:
                 rows = future.result(timeout=max(ticket.remaining(), 0.0))
             except FutureTimeout:
@@ -982,27 +979,27 @@ class QueryService:
         finally:
             self._release()
 
-    def _run(self, handle: StoreHandle, request: QueryRequest, ticket):
+    def _run(self, engine, request: QueryRequest, ticket):
         """The worker side: cooperative-cancellation checkpoints wrap
         the engine call (which itself is not interruptible)."""
         ticket.check()  # expired or abandoned while queued in the pool
-        rows = self._evaluate(handle, request)
+        rows = self._evaluate(engine, request)
         ticket.check()  # abandoned mid-flight: never cache, never return
         return rows
 
     @staticmethod
-    def _evaluate(handle: StoreHandle, request: QueryRequest) -> tuple:
+    def _evaluate(engine, request: QueryRequest) -> tuple:
         """One engine call to the cacheable result shape: ``(tid, id)``
         rows (already top-k-truncated under ``top_k``), or sorted
         ``(group, count)`` pairs for an aggregate — the key's ``agg``
         dimension disambiguates the two shapes on the way back out."""
         if request.agg is not None:
-            result = handle.engine.aggregate(
+            result = engine.aggregate(
                 request.query, agg=request.agg, pivot=request.pivot
             )
             return tuple(sorted(result.items()))
         return tuple(
-            handle.engine.query(
+            engine.query(
                 request.query, pivot=request.pivot, limit=request.top_k
             )
         )

@@ -1,60 +1,29 @@
 """The baseline XPath engine (Section 5.4).
 
-Identical machinery to the LPath engine — same mini relational engine, same
-clustering and secondary indexes, and (since the unified-IR refactor) the
-same logical-plan compiler, optimizer and interpreter from
-:mod:`repro.plan` — but labels come from the start/end scheme of [11].
-Per the paper: "To compare the performance, we set other components of
-both labeling schemes to be the same."
+Identical machinery to the LPath engine — the same column-store layout
+(clustered ``{name, tid, start, end, ...}`` order plus the ``{tid, id}``
+permutation) and the same logical-plan compiler, optimizer and columnar
+executor from :mod:`repro.plan` — but labels come from the start/end
+scheme of [11].  Per the paper: "To compare the performance, we set other
+components of both labeling schemes to be the same."
 """
 
 from __future__ import annotations
 
-from typing import Optional, Sequence, Union
+from functools import partial
+from typing import Optional, Sequence
 
 from ..labeling import xpath_scheme
-from ..lpath.ast import Path
 from ..lpath.errors import LPathError
-from ..plan.cache import PlanCache, cached_compile
-from ..plan.segmented import (
-    RemoteSpec,
-    Segment,
-    SegmentPool,
-    SegmentedPlanCompiler,
-    validate_segmentation,
-)
-from ..relational.database import Database
-from ..relational.table import Table
-from ..store import partition_rows_by_tid
+from ..plan.engine import PlanEngine, stores_from_rows
+from ..plan.segmented import RemoteSpec, validate_segmentation
 from ..tree.node import Tree
-from .compiler import (
-    VERTICAL_FRAGMENT,
-    XPATH_AXES,
-    XPathCompiledQuery,
-    XPathPlanCompiler,
-)
+from .compiler import VERTICAL_FRAGMENT, XPathPlanCompiler
 
 XNODE_COLUMNS = ("tid", "start", "end", "depth", "id", "pid", "name", "value")
-XNODE_CLUSTERED_KEY = ("name", "tid", "start", "end", "depth", "id", "pid")
-XNODE_SECONDARY_INDEXES = {
-    "idx_tid_value_id": ("tid", "value", "id"),
-    "idx_value_tid_id": ("value", "tid", "id"),
-    "idx_tid_id": ("tid", "id", "start", "end", "depth", "pid"),
-}
-
-Query = Union[str, Path]
 
 
-def create_xnode_table(db: Database, rows, name: str = "xnode") -> Table:
-    """Load the start/end label relation with the shared physical design."""
-    table = db.create_table(name, XNODE_COLUMNS, XNODE_CLUSTERED_KEY)
-    table.load(rows)
-    for index_name, columns in XNODE_SECONDARY_INDEXES.items():
-        table.create_index(index_name, columns)
-    return table
-
-
-class XPathEngine:
+class XPathEngine(PlanEngine):
     """Query a corpus with the XPath-expressible fragment of LPath syntax."""
 
     def __init__(
@@ -62,46 +31,20 @@ class XPathEngine:
         trees: Sequence[Tree],
         axes: frozenset = VERTICAL_FRAGMENT,
         plan_cache_size: int = 128,
-        executor: str = "volcano",
         segments: int = 1,
         workers: Optional[int] = None,
     ) -> None:
-        from ..lpath.compiler import EXECUTORS
-
-        if executor not in EXECUTORS:
-            raise LPathError(
-                f"unknown executor {executor!r}; choose from {EXECUTORS}"
-            )
-        validate_segmentation(segments, workers)
-        self.trees = list(trees)
-        tids = [tree.tid for tree in self.trees]
+        trees = list(trees)
+        tids = [tree.tid for tree in trees]
         if len(set(tids)) != len(tids):
             raise LPathError("trees must have distinct tids")
-        rows = [tuple(row) for row in xpath_scheme.label_corpus(self.trees)]
-        self.executor = executor
-        self.segments = segments
-        self.workers = workers
-        self.mode = "thread"
-        self._mapped = None
-        self._pool = SegmentPool(workers, segments)
-        if segments == 1:
-            self.database = Database("xpath")
-            self.xnode_table = create_xnode_table(self.database, rows)
-            self._compiler = XPathPlanCompiler(self.xnode_table, axes=axes)
-        else:
-            self.database = None
-            self.xnode_table = None
-            parts = []
-            for index, shard in enumerate(partition_rows_by_tid(rows, segments)):
-                database = Database(f"xpath-seg{index}")
-                table = create_xnode_table(database, shard)
-                parts.append(
-                    Segment(
-                        index, XPathPlanCompiler(table, axes=axes), len(shard)
-                    )
-                )
-            self._compiler = SegmentedPlanCompiler(parts, get_pool=self._pool)
-        self.plan_cache = PlanCache(plan_cache_size)
+        validate_segmentation(segments, workers)
+        rows = list(xpath_scheme.label_corpus(trees))
+        self._adopt(
+            stores_from_rows(rows, segments, column_names=XNODE_COLUMNS),
+            partial(XPathPlanCompiler, axes=axes), plan_cache_size, workers,
+        )
+        self.trees = trees
 
     @classmethod
     def from_store_mmap(
@@ -114,195 +57,16 @@ class XPathEngine:
     ) -> "XPathEngine":
         """Open an ``LPDB0004`` file of *start/end-labeled* rows zero-copy
         (save one with ``repro.labeling.xpath_scheme.label_corpus`` rows
-        and ``save_labels(format='lpdb0004')``).  Columnar-only — no row
-        table, no trees.  ``mode`` as in
-        :meth:`repro.lpath.LPathEngine.from_store_mmap` (process default
-        when ``workers > 1``); :meth:`close` unmaps the file."""
-        from ..columnar.store import MappedColumnStore
-        from ..store import open_mapped_corpus
-        from .compiler import XPathPlanCompiler
-
-        validate_segmentation(1, workers, mode)
-        if mode is None:
-            mode = "process" if workers is not None and workers > 1 else "thread"
-        corpus = open_mapped_corpus(path)
-        try:
-            stores = [
-                MappedColumnStore(segment, column_names=XNODE_COLUMNS)
-                for segment in corpus.segments
-            ]
-            validate_segmentation(len(stores), workers)
-            engine = cls.__new__(cls)
-            engine.trees = []
-            engine.executor = "columnar"
-            engine.segments = len(stores)
-            engine.workers = workers
-            engine.mode = mode
-            engine._mapped = corpus
-            engine._pool = SegmentPool(workers, len(stores), mode=mode)
-            engine.database = None
-            engine.xnode_table = None
-            if len(stores) == 1:
-                engine._compiler = XPathPlanCompiler(
-                    column_store=stores[0], axes=axes
-                )
-            else:
-                engine._compiler = SegmentedPlanCompiler(
-                    [
-                        Segment(
-                            index,
-                            XPathPlanCompiler(column_store=store, axes=axes),
-                            len(store),
-                        )
-                        for index, store in enumerate(stores)
-                    ],
-                    get_pool=engine._pool,
-                    remote=RemoteSpec(
-                        path, "XPath",
-                        tuple(sorted(axis.name for axis in axes)),
-                    ),
-                )
-            engine.plan_cache = PlanCache(plan_cache_size)
-        except BaseException:
-            corpus.close()
-            raise
-        return engine
-
-    def compile(
-        self,
-        query: Query,
-        pivot: bool = False,
-        executor: Optional[str] = None,
-        limit: Optional[int] = None,
-        agg: Optional[str] = None,
-    ):
-        """Compile to a shared-IR plan, via the per-engine plan cache."""
-        if self._compiler is None:
-            raise LPathError("engine is closed")
-        return cached_compile(
-            self.plan_cache,
-            self._compiler,
-            query,
-            pivot,
-            executor=executor if executor is not None else self.executor,
-            limit=limit,
-            agg=agg,
+        and ``save_labels(format='lpdb0004')``).  No trees are kept.
+        ``mode`` as in :meth:`repro.lpath.LPathEngine.from_store_mmap`
+        (process default when ``workers > 1``); :meth:`close` unmaps the
+        file."""
+        return cls._open_mapped(
+            path,
+            partial(XPathPlanCompiler, axes=axes),
+            RemoteSpec(path, "XPath", tuple(sorted(axis.name for axis in axes))),
+            column_names=XNODE_COLUMNS,
+            plan_cache_size=plan_cache_size,
+            workers=workers,
+            mode=mode,
         )
-
-    def query(
-        self,
-        query: Query,
-        pivot: bool = False,
-        executor: Optional[str] = None,
-        limit: Optional[int] = None,
-    ) -> list[tuple[int, int]]:
-        """Distinct, sorted ``(tid, id)`` pairs matching the query
-        (``limit=k`` compiles an early-terminating top-k plan)."""
-        compiled = self.compile(
-            query, pivot=pivot, executor=executor, limit=limit
-        )
-        return [tuple(row) for row in compiled.rows()]
-
-    def aggregate(
-        self,
-        query: Query,
-        agg: str = "count",
-        pivot: bool = False,
-        executor: Optional[str] = None,
-    ) -> dict:
-        """Evaluate an aggregate without materializing rows (same
-        contract as :meth:`repro.lpath.LPathEngine.aggregate`)."""
-        return self.compile(
-            query, pivot=pivot, executor=executor, agg=agg
-        ).aggregate()
-
-    def query_batch(
-        self,
-        queries: Sequence,
-        pivot: bool = False,
-        executor: Optional[str] = None,
-    ) -> list:
-        """Shared-scan batch execution (same contract as
-        :meth:`repro.lpath.LPathEngine.query_batch`)."""
-        from ..plan.batch import run_batch
-
-        return run_batch(self._compile_batch(queries, pivot, executor))
-
-    def explain_batch(
-        self,
-        queries: Sequence,
-        pivot: bool = False,
-        executor: Optional[str] = None,
-    ) -> str:
-        """Render the shared-scan DAG :meth:`query_batch` would execute."""
-        from ..plan.batch import explain_batch
-
-        return explain_batch(self._compile_batch(queries, pivot, executor))
-
-    def _compile_batch(
-        self, queries: Sequence, pivot: bool, executor: Optional[str]
-    ) -> list:
-        if self._compiler is None:
-            raise LPathError("engine is closed")
-        compiled = []
-        for entry in queries:
-            options = {"pivot": pivot}
-            if isinstance(entry, dict):
-                spec = dict(entry)
-                query = spec.pop("query", None)
-                if query is None:
-                    raise LPathError("batch entry mapping needs a 'query' key")
-                unknown = set(spec) - {"limit", "agg", "pivot"}
-                if unknown:
-                    raise LPathError(
-                        f"unknown batch entry keys: {', '.join(sorted(unknown))}"
-                    )
-                options.update(spec)
-            else:
-                query = entry
-            compiled.append(self.compile(query, executor=executor, **options))
-        return compiled
-
-    def count(
-        self, query: Query, pivot: bool = False, executor: Optional[str] = None
-    ) -> int:
-        """Result-set size, counted through the compiled plan (segmented
-        engines add per-segment counts; process-mode engines return one
-        integer per worker instead of shipping the rows)."""
-        return self.compile(query, pivot=pivot, executor=executor).count()
-
-    def explain(
-        self, query: Query, pivot: bool = False, executor: Optional[str] = None,
-        limit: Optional[int] = None, agg: Optional[str] = None,
-    ) -> str:
-        """Logical-IR and physical plan description (same IR format as the
-        LPath engine)."""
-        return self.compile(
-            query, pivot=pivot, executor=executor, limit=limit, agg=agg
-        ).explain()
-
-    def cache_stats(self) -> dict[str, int]:
-        """Plan-cache observability: hits, misses, evictions, size and
-        capacity of this engine's LRU plan cache."""
-        return self.plan_cache.stats
-
-    def close(self) -> None:
-        """Release the worker pool, cached plans, relational stores and
-        (for mmap-backed engines) the file mapping, so a closed engine is
-        promptly garbage-collectable.  Idempotent."""
-        self._pool.shutdown()
-        self.plan_cache.clear()
-        self.database = None
-        self.xnode_table = None
-        self._compiler = None
-        self.trees = []
-        mapped = getattr(self, "_mapped", None)
-        if mapped is not None:
-            mapped.close()
-            self._mapped = None
-
-    def __enter__(self) -> "XPathEngine":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()

@@ -85,14 +85,12 @@ class TestColumnStore:
         assert list(store.value_rows("saw", tid=9)) == []
         assert list(store.value_rows("no-such-word")) == []
 
-    def test_string_value_matches_volcano(self):
-        trees = [figure1_tree()]
-        engine = LPathEngine(trees)
-        store = engine._compiler.columnar_runtime.store
-        volcano = engine._compiler.runtime
+    def test_string_value_matches_runtime(self):
+        engine = LPathEngine([figure1_tree()])
+        runtime = engine._compiler.runtime
+        store = runtime.store
         for row in range(len(store)):
-            row_tuple = tuple(store.col(position)[row] for position in range(8))
-            assert store.string_value(row) == volcano.string_value(row_tuple)
+            assert store.string_value(row) == runtime.string_value(row)
 
     @given(corpora(max_trees=3, max_depth=4))
     @settings(max_examples=15, deadline=None)
@@ -130,40 +128,66 @@ class TestColumnarCatalog:
 
 class TestColumnarExecutor:
     def test_rejects_unknown_executor(self):
-        with pytest.raises(LPathError):
-            LPathEngine([figure1_tree()], executor="gpu")
-        with pytest.raises(LPathError):
-            XPathEngine([figure1_tree()], executor="gpu")
+        from repro.plan.lower import lower_and_optimize
 
-    def test_engine_level_default(self):
-        engine = LPathEngine([figure1_tree()], executor="columnar")
-        assert engine.query("//NP") == engine.query("//NP", executor="volcano")
+        for engine in (
+            LPathEngine([figure1_tree()]), XPathEngine([figure1_tree()])
+        ):
+            compiler = engine._compiler
+            with pytest.raises(LPathError, match="unknown executor"):
+                lower_and_optimize(compiler.lowerer, "//NP", False, "volcano")
+            root, lowered = lower_and_optimize(
+                compiler.lowerer, "//NP", False, "columnar"
+            )
+            with pytest.raises(LPathError, match="unknown executor"):
+                compiler.compile_physical(root, lowered, "gpu")
+            assert compiler.compile_physical(root, lowered, "columnar").rows()
 
-    def test_nodes_accepts_executor(self):
+    def test_executor_is_a_read_only_constant(self):
+        for engine in (
+            LPathEngine([figure1_tree()]), XPathEngine([figure1_tree()])
+        ):
+            assert engine.executor == "columnar"
+            with pytest.raises(AttributeError):
+                engine.executor = "volcano"
+
+    def test_nodes_resolve_every_match(self):
         engine = LPathEngine([figure1_tree()])
-        assert [node.label for node in engine.nodes("//NP", executor="columnar")] == [
-            node.label for node in engine.nodes("//NP")
-        ]
+        nodes = engine.nodes("//NP")
+        assert len(nodes) == len(engine.query("//NP"))
+        assert {node.label for node in nodes} == {"NP"}
 
     @given(corpora(max_trees=3, max_depth=4))
     @settings(max_examples=10, deadline=None)
-    def test_ablation_index_probes(self, trees):
-        """extra_indexes engines route immediate-preceding probes through
-        the (name, tid, right) ablation index; the columnar executor must
-        serve them through a generic sorted projection."""
-        engine = LPathEngine(trees, extra_indexes=True)
+    def test_reverse_axis_probes(self, trees):
+        """Immediate-preceding probes range-scan ``left`` and check
+        ``right`` as a residual (the paper's design has no index leading
+        on ``right``)."""
+        engine = LPathEngine(trees)
         for query in ("//NP<-V", "//NP<=V", "//N<-Det"):
             expected = engine.query(query, backend="treewalk")
-            assert engine.query(query, executor="volcano") == expected, query
-            assert engine.query(query, executor="columnar") == expected, query
+            assert engine.query(query, backend="sqlite") == expected, query
+            assert engine.query(query) == expected, query
+
+    def test_self_value_comparisons_read_the_candidate(self):
+        """``.`` binds no slot of its own, so a value or count comparison
+        on it must run per candidate row, not once per (empty) binding."""
+        engine = LPathEngine([figure1_tree()])
+        for query in (
+            "//N[.=dog]", "//N[.!=dog]", "//NP[count(.)=1]",
+            "//VP//N[not(.=dog)]", "//S[//N[.=dog]]",
+        ):
+            expected = engine.query(query, backend="treewalk")
+            for pivot in (False, True):
+                assert engine.query(query, pivot=pivot) == expected, query
 
     def test_columnar_explain_mentions_batches(self):
         engine = LPathEngine([figure1_tree()])
-        text = engine.explain("//S//NP", executor="columnar")
+        text = engine.explain("//S//NP")
         assert "ColumnarJoin" in text and "ColumnarScan" in text
 
     def test_compiled_plans_are_reiterable(self):
         engine = LPathEngine([figure1_tree()])
-        compiled = engine.compile("//NP", executor="columnar")
+        compiled = engine.compile("//NP")
         assert list(compiled.rows()) == list(compiled.rows())
         assert compiled.count() == len(list(compiled.rows()))

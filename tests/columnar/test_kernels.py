@@ -132,7 +132,7 @@ class TestModeResolution:
     def test_invalid_value_rejected_through_engine(self, engine):
         with kernels_env("turbo"):
             with pytest.raises(LPathError, match=KERNELS_ENV):
-                engine.query("//S//NP", executor="columnar")
+                engine.query("//S//NP")
 
     def test_backend_resolution(self):
         with kernels_env("python"):
@@ -167,10 +167,10 @@ class TestDualBackendIdentity:
             with kernels_env(backend):
                 for force in (None, "merge", "probe"):
                     if force is None:
-                        got = engine.query(query, executor="columnar")
+                        got = engine.query(query)
                     else:
                         with forced_join(force):
-                            got = engine.query(query, executor="columnar")
+                            got = engine.query(query)
                     assert got == expected, (query, backend, force)
 
     def test_single_node_trees(self):
@@ -180,17 +180,17 @@ class TestDualBackendIdentity:
             expected = engine.query(query, backend="treewalk")
             for backend in BACKENDS:
                 with kernels_env(backend), forced_join("merge"):
-                    got = engine.query(query, executor="columnar")
+                    got = engine.query(query)
                 assert got == expected, (query, backend)
 
     @needs_native
     def test_explain_names_the_backend(self, engine):
         with forced_join("merge"):
             with kernels_env("native"):
-                plan = engine.explain("//S//NP", executor="columnar")
+                plan = engine.explain("//S//NP")
                 assert "[merge/native" in plan and "kernel=native" in plan
             with kernels_env("python"):
-                plan = engine.explain("//S//NP", executor="columnar")
+                plan = engine.explain("//S//NP")
                 assert "[merge/python" in plan and "kernel=python" in plan
 
     @needs_native
@@ -198,16 +198,16 @@ class TestDualBackendIdentity:
         # A row-level exists residual is outside the native contract;
         # the step must keep the interpreted loop even under native.
         with forced_join("merge"), kernels_env("native"):
-            plan = engine.explain("//S//NP[//Det]", executor="columnar")
+            plan = engine.explain("//S//NP[//Det]")
             assert "kernel=python" in plan
 
 
 class TestPlanCacheKey:
     def test_kernels_backend_keys_the_plan_cache(self, engine):
         with kernels_env("python"):
-            python_plan = engine.compile("//S//V", executor="columnar")
+            python_plan = engine.compile("//S//V")
         with kernels_env("auto"):
-            auto_plan = engine.compile("//S//V", executor="columnar")
+            auto_plan = engine.compile("//S//V")
         if NATIVE:
             # Resolved backends differ, so the cache must miss.
             assert python_plan is not auto_plan

@@ -17,7 +17,6 @@ from repro.columnar.structural import FORCE_ENV, PREFIX, STACK, SWEEP
 from repro.labeling.lpath_scheme import label_corpus
 from repro.lpath import LPathEngine
 from repro.plan.ir import Join
-from repro.plan.schemes import Catalog
 from repro.plan.segmented import SegmentedCatalog
 from repro.tree import iter_trees
 from repro.xpath import XPathEngine
@@ -130,13 +129,6 @@ class TestStatistics:
         assert store.name_stats("nope") == NameStats(0, 0, 0, 0, 0)
         assert store.tree_count() == 4
 
-    def test_relational_catalog_matches_column_store(self, trees, engine):
-        store = ColumnStore.from_rows(label_corpus(trees))
-        catalog = Catalog(engine.node_table)
-        for name in ("NP", "S", "Det", "@lex", "nope", None):
-            assert catalog.name_stats(name) == store.name_stats(name)
-        assert catalog.tree_count() == store.tree_count()
-
     def test_segmented_catalog_merges_stats(self, trees):
         stores = [
             ColumnStore.from_rows(label_corpus([tree])) for tree in trees
@@ -172,19 +164,15 @@ class TestCostModel:
         assert choose_join(5000.0, "NP", store) == "merge"
 
     def test_annotation_recorded_and_rendered(self, engine):
-        plan = engine.explain("//S//NP", executor="columnar")
+        plan = engine.explain("//S//NP")
         assert "[probe est_in=" in plan or "[merge/" in plan
-
-    def test_volcano_plans_carry_no_annotation(self, engine):
-        plan = engine.explain("//S//NP", executor="volcano")
-        assert "[probe" not in plan and "[merge" not in plan
 
     def test_cost_model_picks_merge_at_scale(self):
         from repro.corpus.generator import generate_corpus
 
         engine = LPathEngine(
             list(generate_corpus("wsj", sentences=120, seed=11)),
-            keep_trees=False, executor="columnar",
+            keep_trees=False,
         )
         plan = engine.explain("//S//NP")
         assert "[merge/" in plan and " est_in=" in plan
@@ -192,16 +180,16 @@ class TestCostModel:
 
     def test_force_knob_overrides_choice(self, engine):
         with forced("merge"):
-            plan = engine.explain("//S//NP", executor="columnar")
+            plan = engine.explain("//S//NP")
             assert "[merge" in plan and "StructuralMergeJoin" in plan
         with forced("probe"):
-            plan = engine.explain("//S//NP", executor="columnar")
+            plan = engine.explain("//S//NP")
             assert "[probe" in plan and "StructuralMergeJoin" not in plan
 
     def test_force_knob_keys_the_plan_cache(self, engine):
-        plain = engine.compile("//S//V", executor="columnar")
+        plain = engine.compile("//S//V")
         with forced("merge"):
-            forced_plan = engine.compile("//S//V", executor="columnar")
+            forced_plan = engine.compile("//S//V")
         assert plain is not forced_plan
 
     def test_invalid_force_value_rejected(self, engine):
@@ -209,9 +197,9 @@ class TestCostModel:
 
         with forced("MERGE"):
             with pytest.raises(LPathError, match="REPRO_FORCE_JOIN"):
-                engine.query("//S//NN", executor="columnar")
+                engine.query("//S//NN")
         with forced(""):  # empty means unset, not an error
-            assert engine.query("//S//V", executor="columnar") is not None
+            assert engine.query("//S//V") is not None
 
 
 class TestForcedEquivalence:
@@ -221,14 +209,14 @@ class TestForcedEquivalence:
         for mode in ("merge", "probe"):
             with forced(mode):
                 for pivot in (False, True):
-                    got = engine.query(query, executor="columnar", pivot=pivot)
+                    got = engine.query(query, pivot=pivot)
                     assert got == expected, (query, mode, pivot)
 
     @pytest.mark.parametrize("segments", [2, 3])
     def test_segmented_engines_agree(self, trees, segments):
         oracle = LPathEngine(trees)
         sharded = LPathEngine(
-            trees, keep_trees=False, executor="columnar", segments=segments
+            trees, keep_trees=False, segments=segments
         )
         for query in AXIS_QUERIES:
             expected = oracle.query(query, backend="treewalk")
@@ -242,7 +230,7 @@ class TestForcedEquivalence:
             expected = engine.query(query)
             for mode in ("merge", "probe"):
                 with forced(mode):
-                    got = engine.query(query, executor="columnar")
+                    got = engine.query(query)
                     assert got == expected, (query, mode)
 
 

@@ -3,9 +3,9 @@
 For random corpora and random queries (the tests/strategies.py
 generators), sharding the corpus must be invisible in the results:
 
-* the LPath engine at 1, 2, 3 and 7 segments — both physical executors,
-  with and without a worker pool — must return exactly the monolithic
-  engine's ``(tid, id)`` lists;
+* the LPath engine at 1, 2, 3 and 7 segments, with and without a worker
+  pool, must return exactly the ``(tid, id)`` lists of the tree-walk and
+  SQLite oracles over the whole corpus;
 * the same holds for the XPath engine on the start/end-expressible
   fragment;
 * a corpus round-tripped through the segmented ``LPDB0003`` store format
@@ -69,33 +69,32 @@ class TestLPathSegmentEquivalence:
     @settings(max_examples=FUZZ_EXAMPLES, deadline=None)
     def test_segmented_engines_match_monolithic(self, kernels, data):
         trees = data.draw(corpora(max_trees=4, max_depth=4), label="corpus")
-        monolithic = LPathEngine(trees, keep_trees=False)
+        oracle = LPathEngine(trees)
         engines = {
             (segments, workers): LPathEngine(
                 trees, keep_trees=False, segments=segments, workers=workers
             )
             for segments in SEGMENT_SWEEP
             for workers in WORKER_SWEEP
-            if (segments, workers) != (1, None)
         }
         with pinned_kernels(kernels):
             for index in range(QUERIES_PER_EXAMPLE):
                 query = data.draw(lpath_queries(), label=f"query {index}")
-                expected = monolithic.query(query)
+                expected = oracle.query(query, backend="treewalk")
+                assert oracle.query(query, backend="sqlite") == expected, query
                 for (segments, workers), engine in engines.items():
-                    for executor in ("volcano", "columnar"):
-                        got = engine.query(query, executor=executor)
-                        assert got == expected, (
-                            f"segments={segments} workers={workers} "
-                            f"executor={executor} kernels={kernels} "
-                            f"disagrees on {query!r}: {got} != {expected}"
-                        )
+                    got = engine.query(query)
+                    assert got == expected, (
+                        f"segments={segments} workers={workers} "
+                        f"kernels={kernels} disagrees on {query!r}: "
+                        f"{got} != {expected}"
+                    )
 
     @given(data=st.data())
     @settings(max_examples=FUZZ_EXAMPLES, deadline=None)
     def test_lpdb0003_round_trip_matches_monolithic(self, data):
         trees = data.draw(corpora(max_trees=4, max_depth=4), label="corpus")
-        monolithic = LPathEngine(trees, keep_trees=False)
+        monolithic = LPathEngine(trees)
         rows = list(label_corpus(trees))
         buffer = io.BytesIO()
         store.save_labels(rows, buffer, segments=3)
@@ -105,7 +104,9 @@ class TestLPathSegmentEquivalence:
         )
         for index in range(QUERIES_PER_EXAMPLE):
             query = data.draw(lpath_queries(), label=f"query {index}")
-            assert engine.query(query) == monolithic.query(query), query
+            assert engine.query(query) == monolithic.query(
+                query, backend="treewalk"
+            ), query
 
     @pytest.mark.parametrize("kernels", KERNEL_BACKENDS)
     @given(data=st.data())
@@ -114,7 +115,7 @@ class TestLPathSegmentEquivalence:
         self, kernels, data, tmp_path_factory
     ):
         trees = data.draw(corpora(max_trees=4, max_depth=4), label="corpus")
-        monolithic = LPathEngine(trees, keep_trees=False)
+        monolithic = LPathEngine(trees)
         rows = list(label_corpus(trees))
         path = str(tmp_path_factory.mktemp("mmap") / "corpus.lpdb")
         with open(path, "wb") as handle:
@@ -132,7 +133,7 @@ class TestLPathSegmentEquivalence:
             with pinned_kernels(kernels):
                 for index in range(QUERIES_PER_EXAMPLE):
                     query = data.draw(lpath_queries(), label=f"query {index}")
-                    expected = monolithic.query(query)
+                    expected = monolithic.query(query, backend="treewalk")
                     for label, engine in engines.items():
                         got = engine.query(query)
                         assert got == expected, (
@@ -152,22 +153,21 @@ class TestXPathSegmentEquivalence:
     @settings(max_examples=FUZZ_EXAMPLES, deadline=None)
     def test_segmented_xpath_matches_monolithic(self, data):
         trees = data.draw(corpora(max_trees=4, max_depth=4), label="corpus")
-        monolithic = XPathEngine(trees, axes=XPATH_AXES)
+        oracle = LPathEngine(trees)
         engines = [
             XPathEngine(trees, axes=XPATH_AXES, segments=segments, workers=workers)
-            for segments in (2, 3, 7)
+            for segments in (1, 2, 3, 7)
             for workers in WORKER_SWEEP
         ]
         for index in range(QUERIES_PER_EXAMPLE):
             query = data.draw(xpath_queries(), label=f"query {index}")
-            expected = monolithic.query(query)
+            expected = oracle.query(query, backend="treewalk")
             for engine in engines:
-                for executor in ("volcano", "columnar"):
-                    got = engine.query(query, executor=executor)
-                    assert got == expected, (
-                        f"segments={engine.segments} workers={engine.workers} "
-                        f"executor={executor} disagrees on {query!r}"
-                    )
+                got = engine.query(query)
+                assert got == expected, (
+                    f"segments={engine.segments} workers={engine.workers} "
+                    f"disagrees on {query!r}"
+                )
 
 
 class TestSegmentedPlanSurface:
@@ -195,10 +195,9 @@ class TestSegmentedPlanSurface:
         # plan still returns the same rows.
         engine = LPathEngine(self._trees(), segments=3)
         baseline = LPathEngine(self._trees())
-        for executor in ("volcano", "columnar"):
-            assert engine.query(
-                "//S//NP", pivot=True, executor=executor
-            ) == baseline.query("//S//NP")
+        assert engine.query("//S//NP", pivot=True) == baseline.query(
+            "//S//NP", backend="treewalk"
+        )
 
     def test_count_matches_len_query(self):
         engine = LPathEngine(self._trees(), segments=2, workers=2)
@@ -254,7 +253,7 @@ class TestProcessWorkerEntryPoints:
         merged = []
         total = 0
         for index in range(2):
-            task = segmented.RemoteTask(spec, "//VP//NP", False, "columnar",
+            task = segmented.RemoteTask(spec, "//VP//NP", False,
                                         None)
             blob = segmented._execute_segment(task, index, "rows")
             assert isinstance(blob, bytes)
@@ -278,12 +277,12 @@ class TestProcessWorkerEntryPoints:
         previous = _os.environ.get(FORCE_ENV)
         try:
             _os.environ[FORCE_ENV] = "probe"
-            task = segmented.RemoteTask(spec, "//VP//NP", False, "columnar",
+            task = segmented.RemoteTask(spec, "//VP//NP", False,
                                         "merge")
             forced = segmented._execute_segment(task, 0, "rows")
             assert _os.environ.get(FORCE_ENV) == "probe"  # restored
             unforced = segmented._execute_segment(
-                segmented.RemoteTask(spec, "//VP//NP", False, "columnar",
+                segmented.RemoteTask(spec, "//VP//NP", False,
                                      None),
                 0, "rows",
             )
@@ -311,7 +310,7 @@ class TestProcessWorkerEntryPoints:
         expected = XPathEngine(trees, axes=XPATH_AXES).query("//VP//NP")
         merged = []
         for index in range(2):
-            task = segmented.RemoteTask(spec, "//VP//NP", False, "columnar",
+            task = segmented.RemoteTask(spec, "//VP//NP", False,
                                         None)
             merged.extend(
                 segmented._unpack_pairs(

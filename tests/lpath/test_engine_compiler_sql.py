@@ -52,7 +52,7 @@ class TestEngineAPI:
 
     def test_explain_mentions_plan_operators(self, engine):
         text = engine.explain("//VP/V-->N")
-        assert "IndexNestedLoopJoin" in text
+        assert "ColumnarJoin" in text or "StructuralMergeJoin" in text
         assert "Distinct" in text
 
 
@@ -64,13 +64,11 @@ class TestClose:
         engine.close()
         engine.close()
 
-    def test_close_releases_relational_store_and_rows(self):
+    def test_close_releases_column_stores(self):
         engine = LPathEngine([figure1_tree()])
         engine.query("//NP")
         engine.close()
-        assert engine.database is None
-        assert engine.node_table is None
-        assert engine._rows is None
+        assert engine._stores == []
         assert engine._compiler is None
         assert len(engine.plan_cache) == 0
 
@@ -87,12 +85,12 @@ class TestClose:
 
         engine = LPathEngine([figure1_tree()])
         engine.query("//NP")
-        table_ref = weakref.ref(engine.node_table)
-        database_ref = weakref.ref(engine.database)
+        runtime_ref = weakref.ref(engine._compiler.runtime)
+        compiler_ref = weakref.ref(engine._compiler)
         engine.close()
         gc.collect()
-        assert table_ref() is None
-        assert database_ref() is None
+        assert runtime_ref() is None
+        assert compiler_ref() is None
 
     def test_close_shuts_down_worker_pool(self):
         engine = LPathEngine(
@@ -142,12 +140,13 @@ class TestPlanCompiler:
         with pytest.raises(LPathCompileError):
             engine.compile("//NP[position()=2]")
 
-    def test_extra_index_changes_preceding_probe(self):
-        plain = LPathEngine([figure1_tree()])
-        extra = LPathEngine([figure1_tree()], extra_indexes=True)
-        query = "//NP<-V"
-        assert plain.query(query) == extra.query(query)
-        assert "idx_name_tid_right" in extra.node_table.indexes
+    def test_preceding_probe_scans_left_and_checks_right(self, engine):
+        # No index leads on ``right``: immediate-preceding range-scans
+        # ``left`` and keeps ``right = ctx.left`` as a residual.
+        text = engine.explain("//NP<-V")
+        assert "range=[-inf, s0.left)" in text
+        assert "s1.right = s0.left" in text
+        assert engine.query("//NP<-V") == engine.query("//NP<-V", backend="sqlite")
 
     def test_root_alignment_without_scope(self, engine):
         # ^/$ without scope align to the tree root edges.

@@ -113,37 +113,31 @@ class TestEngineCaching:
         assert plain is not pivoted
         assert engine.compile("//S//V", pivot=True) is pivoted
 
-    def test_executor_keys_separately(self, engine):
-        """A warm hit must never return a plan compiled for the other
-        executor."""
-        volcano = engine.compile("//S//V")
-        columnar = engine.compile("//S//V", executor="columnar")
-        assert volcano is not columnar
-        assert engine.compile("//S//V", executor="columnar") is columnar
-        assert engine.compile("//S//V", executor="volcano") is volcano
+    def test_cached_plans_are_columnar(self, engine):
+        """Every plan runs on the one physical executor, and no call
+        takes an executor option any more."""
         from repro.columnar import ColumnarPlan
-        from repro.relational.operators import Operator
 
-        assert isinstance(columnar.plan, ColumnarPlan)
-        assert isinstance(volcano.plan, Operator)
+        assert isinstance(engine.compile("//S//V").plan, ColumnarPlan)
+        with pytest.raises(TypeError):
+            engine.compile("//S//V", executor="columnar")
 
-    def test_executor_and_pivot_key_independently(self, engine):
+    def test_limit_and_pivot_key_independently(self, engine):
         plans = {
-            (pivot, executor): engine.compile("//S//V", pivot=pivot, executor=executor)
+            (pivot, limit): engine.compile("//S//V", pivot=pivot, limit=limit)
             for pivot in (False, True)
-            for executor in ("volcano", "columnar")
+            for limit in (None, 3)
         }
         assert len(set(map(id, plans.values()))) == 4
         for key, plan in plans.items():
-            assert engine.compile("//S//V", pivot=key[0], executor=key[1]) is plan
+            assert engine.compile("//S//V", pivot=key[0], limit=key[1]) is plan
 
-    def test_engine_default_executor_drives_the_key(self):
-        from repro.tree import figure1_tree
-
-        engine = LPathEngine([figure1_tree()], executor="columnar")
-        default = engine.compile("//NP")
-        assert engine.compile("//NP", executor="columnar") is default
-        assert engine.compile("//NP", executor="volcano") is not default
+    def test_agg_keys_separately(self, engine):
+        plain = engine.compile("//NP")
+        counted = engine.compile("//NP", agg="count")
+        assert plain is not counted
+        assert engine.compile("//NP", agg="count") is counted
+        assert engine.compile("//NP") is plain
 
     def test_ast_queries_share_the_text_key(self, engine):
         from repro.lpath import parse

@@ -1,7 +1,7 @@
 """Golden snapshots of ``explain()`` output.
 
 Pins the logical-IR + physical-plan rendering for a representative query
-set in both dialects (and both physical executors), so any optimizer or
+set in both dialects, so any optimizer or
 compiler change shows up as a readable snapshot diff rather than a silent
 plan regression.
 
@@ -51,26 +51,26 @@ SNAPSHOTS = [
     ("lpath_count", "lpath", "//NP[count(//N)>1]", {}),
     ("lpath_name_function", "lpath", "//_[name()=NP]", {}),
     ("lpath_exists_pivot", "lpath", "//S[//NP/N]", {"pivot": True}),
-    ("lpath_columnar_scan", "lpath", "//S//NP", {"executor": "columnar"}),
-    ("lpath_columnar_subplan", "lpath", "//S[//NP/N]", {"executor": "columnar"}),
-    ("lpath_columnar_deep_chain", "lpath", "//S//NP//N", {"executor": "columnar"}),
-    ("lpath_columnar_ancestor", "lpath", "//Det\\ancestor::S", {"executor": "columnar"}),
-    ("lpath_columnar_wildcard_child", "lpath", "//S/_", {"executor": "columnar"}),
-    ("lpath_topk", "lpath", "//S//NP//N", {"limit": 5, "executor": "columnar"}),
-    ("lpath_topk_volcano", "lpath", "//S//NP", {"limit": 3}),
+    ("lpath_descendant_join", "lpath", "//S//NP", {}),
+    ("lpath_exists_subplan", "lpath", "//S[//NP/N]", {}),
+    ("lpath_deep_chain", "lpath", "//S//NP//N", {}),
+    ("lpath_immediate_preceding", "lpath", "//N<-Det", {}),
+    ("lpath_wildcard_child", "lpath", "//S/_", {}),
+    ("lpath_topk", "lpath", "//S//NP//N", {"limit": 5}),
+    ("lpath_topk_two_step", "lpath", "//S//NP", {"limit": 3}),
     ("lpath_aggregate_count", "lpath", "//S//NP", {"agg": "count"}),
     ("lpath_aggregate_by_name", "lpath", "//S/_",
-     {"agg": "count_by_name", "executor": "columnar"}),
+     {"agg": "count_by_name"}),
     ("lpath_aggregate_by_depth", "lpath", "//NP",
-     {"agg": "count_by_depth", "executor": "columnar"}),
+     {"agg": "count_by_depth"}),
     ("xpath_child_chain", "xpath", "//NP/N", {}),
     ("xpath_two_step_scan_pivot", "xpath", "//S//V", {"pivot": True}),
     ("xpath_ancestor", "xpath", "//Det\\ancestor::S", {}),
-    ("xpath_columnar_scan", "xpath", "//S//NP", {"executor": "columnar"}),
-    ("xpath_columnar_deep_chain", "xpath", "//S//NP//N", {"executor": "columnar"}),
-    ("xpath_topk", "xpath", "//S//NP", {"limit": 3, "executor": "columnar"}),
+    ("xpath_descendant_join", "xpath", "//S//NP", {}),
+    ("xpath_deep_chain", "xpath", "//S//NP//N", {}),
+    ("xpath_topk", "xpath", "//S//NP", {"limit": 3}),
     ("xpath_aggregate_by_name", "xpath", "//NP/_",
-     {"agg": "count_by_name", "executor": "columnar"}),
+     {"agg": "count_by_name"}),
 ]
 
 #: (slug, dialect, batch entries) for ``explain_batch`` DAG snapshots.
@@ -92,10 +92,10 @@ BATCH_SNAPSHOTS = [
     ]),
 ]
 
-#: The merge-join step description names the kernel backend that would
-#: run it (``kernel=native`` vs ``kernel=python``) — an environment
-#: fact, not a plan fact, so snapshots neutralize it.
-_KERNEL_TAG = re.compile(r"kernel=\w+")
+#: Merge joins name the kernel backend that would run them
+#: (``merge/native`` and ``kernel=native`` vs their ``python`` forms) —
+#: an environment fact, not a plan fact, so snapshots neutralize it.
+_KERNEL_TAG = re.compile(r"(kernel=|merge/)\w+")
 
 
 @pytest.fixture(scope="module")
@@ -145,7 +145,8 @@ def _assert_matches_snapshot(slug: str, actual: str, subject: str) -> None:
     ids=[slug for slug, *_ in SNAPSHOTS],
 )
 def test_explain_snapshot(engines, slug, dialect, query, kwargs):
-    actual = engines[dialect].explain(query, **kwargs) + "\n"
+    rendered = engines[dialect].explain(query, **kwargs)
+    actual = _KERNEL_TAG.sub(r"\1<backend>", rendered) + "\n"
     _assert_matches_snapshot(slug, actual, f"explain() for {query!r}")
 
 
@@ -155,8 +156,8 @@ def test_explain_snapshot(engines, slug, dialect, query, kwargs):
     ids=[slug for slug, *_ in BATCH_SNAPSHOTS],
 )
 def test_explain_batch_snapshot(engines, slug, dialect, entries):
-    rendered = engines[dialect].explain_batch(entries, executor="columnar")
-    actual = _KERNEL_TAG.sub("kernel=<backend>", rendered) + "\n"
+    rendered = engines[dialect].explain_batch(entries)
+    actual = _KERNEL_TAG.sub(r"\1<backend>", rendered) + "\n"
     _assert_matches_snapshot(slug, actual, "explain_batch()")
 
 

@@ -1,11 +1,11 @@
-"""Tests for access-path selection and the SQLite cross-check backend."""
+"""Tests for access-path scoring and the SQLite cross-check backend."""
 
 from repro.labeling import label_tree
 from repro.relational import (
     Database,
     SQLiteBackend,
-    choose_access_path,
     create_node_table,
+    match_index,
     quote_identifier,
 )
 from repro.tree import figure1_tree
@@ -14,6 +14,17 @@ from repro.tree import figure1_tree
 def node_table():
     db = Database()
     return create_node_table(db, label_tree(figure1_tree()))
+
+
+def choose_access_path(table, eq_columns, range_column=None):
+    """The best-scoring of the Section 5 indexes (ties go to the one
+    declared first, the clustered index)."""
+    best = None
+    for index in table.all_indexes():
+        candidate = match_index(index, eq_columns, range_column)
+        if candidate is not None and (best is None or candidate.score > best.score):
+            best = candidate
+    return best
 
 
 class TestPlanner:

@@ -110,8 +110,3 @@ class TestNodeTable:
         rows = list(table.index("idx_value_tid_id").scan_eq(("saw",)))
         assert len(rows) == 1
         assert rows[0][NODE_COLUMNS.index("name")] == "@lex"
-
-    def test_extra_indexes_flag(self):
-        db = Database()
-        table = create_node_table(db, label_tree(figure1_tree()), extra_indexes=True)
-        assert "idx_name_tid_right" in table.indexes

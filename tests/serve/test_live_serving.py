@@ -5,6 +5,7 @@ clean 400s for everything that is not an appendable store."""
 
 from __future__ import annotations
 
+import threading
 import time
 
 import pytest
@@ -111,6 +112,37 @@ class TestAppendEndpoint:
                     assert failure.value.status == 400
                     assert "immutable" in str(failure.value)
                     client.append(MORE, store=live_path)  # the live one works
+
+
+class TestSnapshotPinning:
+    def test_read_during_an_engine_swap_is_not_cached_as_new(
+        self, live_service
+    ):
+        """A read that lands after an append moved the corpus fingerprint
+        but before the rebuilt engine is published must be answered and
+        cached as the *old* snapshot, so the next read sees the rows."""
+        manager = next(iter(live_service._stores.values())).live
+        before = live_service.execute({"query": "//N"})["total"]
+        building, release = threading.Event(), threading.Event()
+        build = manager._build
+
+        def blocked_build():
+            building.set()
+            assert release.wait(10.0)
+            return build()
+
+        manager._build = blocked_build
+        appender = threading.Thread(
+            target=live_service.execute_append, args=({"trees": MORE},)
+        )
+        appender.start()
+        try:
+            assert building.wait(10.0)
+            assert live_service.execute({"query": "//N"})["total"] == before
+        finally:
+            release.set()
+            appender.join(10.0)
+        assert live_service.execute({"query": "//N"})["total"] == before + 2
 
 
 class TestLiveHealthSurfaces:

@@ -1,7 +1,7 @@
 """Shared hypothesis strategies: random trees, corpora and *queries*.
 
 The query generators emit surface-syntax LPath text constrained to the
-fragment every execution path understands (plan/volcano, plan/columnar,
+fragment every execution path understands (the compiled columnar plans,
 the emitted-SQL SQLite oracle and the tree-walk reference), so the
 differential fuzz harness can assert exact agreement.  Axes, predicates
 and scopes are sampled independently; predicate nesting is depth-bounded.

@@ -46,38 +46,44 @@ class TestQuery:
         assert code == 0
         assert int(output.strip()) > 0
 
-    def test_columnar_executor_matches_volcano(self, corpus_file):
-        code, volcano = run(["query", corpus_file, "//S//NP", "--count"])
-        assert code == 0
-        code, columnar = run(
-            ["query", corpus_file, "//S//NP", "--count", "--executor", "columnar"]
-        )
-        assert code == 0
-        assert columnar == volcano
+    def test_executor_flag_is_gone(self, corpus_file):
+        with pytest.raises(SystemExit):
+            run(["query", corpus_file, "//S//NP", "--count",
+                 "--executor", "columnar"])
 
-    def test_columnar_executor_on_compiled_corpus(self, corpus_file, tmp_path):
+    def test_compile_defaults_to_lpdb0004(self, corpus_file, tmp_path):
         lpdb = str(tmp_path / "corpus.lpdb")
-        code, _ = run(["compile", corpus_file, "-o", lpdb])
+        code, output = run(["compile", corpus_file, "-o", lpdb])
         assert code == 0
-        code, volcano = run(["query", lpdb, "//S//NP", "--count"])
+        assert "[LPDB0004]" in output
+        code, expected = run(["query", corpus_file, "//S//NP", "--count"])
         assert code == 0
-        code, columnar = run(
-            ["query", lpdb, "//S//NP", "--count", "--executor", "columnar"]
-        )
-        assert code == 0
-        assert columnar == volcano
+        for engine in ("lpath", "sqlite"):
+            code, compiled = run(
+                ["query", lpdb, "//S//NP", "--count", "--engine", engine]
+            )
+            assert code == 0, engine
+            assert compiled == expected, engine
 
-    def test_xpath_engine_accepts_executor(self, corpus_file):
-        code, volcano = run(
+    def test_older_formats_still_read(self, corpus_file, tmp_path):
+        code, expected = run(["query", corpus_file, "//S//NP", "--count"])
+        for revision in ("lpdb0002", "lpdb0003"):
+            lpdb = str(tmp_path / f"{revision}.lpdb")
+            code, _ = run(["compile", corpus_file, "-o", lpdb,
+                           "--format", revision])
+            assert code == 0, revision
+            code, output = run(["query", lpdb, "//S//NP", "--count"])
+            assert code == 0, revision
+            assert output == expected, revision
+
+    def test_xpath_engine_matches_lpath(self, corpus_file):
+        code, lpath = run(["query", corpus_file, "//NP/NN", "--count"])
+        assert code == 0
+        code, xpath = run(
             ["query", corpus_file, "//NP/NN", "--count", "--engine", "xpath"]
         )
         assert code == 0
-        code, columnar = run(
-            ["query", corpus_file, "//NP/NN", "--count", "--engine", "xpath",
-             "--executor", "columnar"]
-        )
-        assert code == 0
-        assert columnar == volcano
+        assert xpath == lpath
 
     def test_segments_and_workers_preserve_counts(self, corpus_file):
         code, expected = run(["query", corpus_file, "//S//NP", "--count"])
@@ -85,7 +91,7 @@ class TestQuery:
         for extra in (
             ["--segments", "3"],
             ["--segments", "3", "--workers", "2"],
-            ["--segments", "4", "--executor", "columnar", "--workers", "2"],
+            ["--segments", "4", "--workers", "2"],
             ["--segments", "3", "--engine", "xpath"],
         ):
             argv = ["query", corpus_file, "//S//NP", "--count"] + extra
@@ -101,13 +107,11 @@ class TestQuery:
         assert "in 4 segments" in output
         code, expected = run(["query", corpus_file, "//S//NP", "--count"])
         assert code == 0
-        # The segmented file serves both executors, sequential and pooled,
-        # and an explicit --segments re-deals the on-disk shards.
-        for extra in ([], ["--executor", "columnar"],
-                      ["--executor", "columnar", "--workers", "2"],
-                      ["--executor", "columnar", "--segments", "4"],
-                      ["--executor", "columnar", "--segments", "2"],
-                      ["--executor", "columnar", "--segments", "1"]):
+        # The segmented file serves sequential and pooled queries, and an
+        # explicit --segments re-deals the on-disk shards.
+        for extra in ([], ["--workers", "2"], ["--mmap"],
+                      ["--segments", "4"], ["--segments", "2"],
+                      ["--segments", "1"]):
             code, output = run(["query", lpdb, "//S//NP", "--count"] + extra)
             assert code == 0, extra
             assert output == expected, extra
@@ -135,17 +139,18 @@ class TestQuery:
 
     def test_explain_prints_plans_with_join_choice(self, corpus_file):
         code, output = run(
-            ["query", corpus_file, "//S//NP", "--executor", "columnar",
-             "--explain"]
+            ["query", corpus_file, "//S//NP", "--explain"]
         )
         assert code == 0
         assert "logical plan:" in output and "physical plan:" in output
         assert "[merge/" in output or "[probe est_in=" in output
 
-    def test_explain_volcano_engine(self, corpus_file):
-        code, output = run(["query", corpus_file, "//S//NP", "--explain"])
+    def test_explain_compiled_corpus(self, corpus_file, tmp_path):
+        lpdb = str(tmp_path / "corpus.lpdb")
+        run(["compile", corpus_file, "-o", lpdb, "--segments", "2"])
+        code, output = run(["query", lpdb, "//S//NP", "--explain"])
         assert code == 0
-        assert "IndexNestedLoopJoin" in output or "physical plan:" in output
+        assert "x2 segments" in output and "ColumnarDistinct" in output
 
     def test_explain_xpath_engine(self, corpus_file):
         code, output = run(
@@ -254,7 +259,8 @@ class TestMmapQuery:
 
     def test_mmap_rejects_old_revision(self, corpus_file, tmp_path):
         lpdb = str(tmp_path / "old.lpdb")
-        code, _ = run(["compile", corpus_file, "-o", lpdb])
+        code, _ = run(["compile", corpus_file, "-o", lpdb,
+                       "--format", "lpdb0002"])
         assert code == 0
         code, _ = run(["query", lpdb, "//NP", "--count", "--mmap"])
         assert code == 1
@@ -269,13 +275,13 @@ class TestMmapQuery:
                        "--segments", "4"])
         assert code == 1
 
-    def test_mmap_rejects_volcano_executor(self, mmap_file):
-        code, _ = run(["query", mmap_file, "//NP", "--count", "--mmap",
-                       "--executor", "volcano"])
-        assert code == 1
-        code, _ = run(["query", mmap_file, "//NP", "--count", "--mmap",
-                       "--executor", "columnar"])
+    def test_mmap_serves_the_sqlite_oracle(self, mmap_file):
+        code, plan = run(["query", mmap_file, "//NP", "--count", "--mmap"])
         assert code == 0
+        code, oracle = run(["query", mmap_file, "//NP", "--count",
+                            "--engine", "sqlite"])
+        assert code == 0
+        assert oracle == plan
 
 
 class TestStoreInfo:
@@ -292,7 +298,7 @@ class TestStoreInfo:
 
     def test_legacy_info(self, corpus_file, tmp_path):
         lpdb = str(tmp_path / "corpus.lpdb")
-        run(["compile", corpus_file, "-o", lpdb])
+        run(["compile", corpus_file, "-o", lpdb, "--format", "lpdb0002"])
         code, output = run(["store", "info", lpdb])
         assert code == 0
         assert "format: LPDB0002" in output
@@ -364,8 +370,7 @@ class TestServeCLI:
         assert "corpus lives on the server" in capsys.readouterr().err
 
     def test_query_url_rejects_local_engine_flags(self, daemon_url, capsys):
-        for flags in (["--mmap"], ["--executor", "columnar"],
-                      ["--segments", "2"], ["--workers", "2"],
+        for flags in (["--mmap"], ["--segments", "2"], ["--workers", "2"],
                       ["--kernels", "python"], ["--explain"],
                       ["--cache-stats"]):
             code, _ = run(["query", "//NP", "--url", daemon_url] + flags)

@@ -528,24 +528,22 @@ class TestEngineFromColumns:
         for query in ("//NP", "//V->NP", "//VP{//NP$}", "//S[//_[@lex=saw]]", "//NP$"):
             assert engine.query(query) == from_trees.query(query), query
 
-    def test_row_backends_unavailable(self):
+    def test_sqlite_oracle_loads_from_the_stores(self):
         rows = list(label_corpus([figure1_tree()]))
         data = saved_bytes(rows)
         engine = LPathEngine.from_columns(store.load_label_columns(io.BytesIO(data)))
-        with pytest.raises(LPathError):
-            engine.query("//NP", backend="sqlite")
-        with pytest.raises(LPathError):
-            engine.query("//NP", executor="volcano")
+        assert engine.query("//NP", backend="sqlite") == engine.query("//NP")
         with pytest.raises(LPathError):
             engine.treewalk
 
-    def test_rejects_row_executors_at_construction(self):
+    def test_rejects_executor_option(self):
         rows = list(label_corpus([figure1_tree()]))
         columns = store.load_label_columns(io.BytesIO(saved_bytes(rows)))
-        with pytest.raises(LPathError, match="columnar-only"):
-            LPathEngine.from_columns(columns, executor="volcano")
-        with pytest.raises(LPathError, match="unknown executor"):
-            LPathEngine.from_columns(columns, executor="sqlite")
+        with pytest.raises(TypeError):
+            LPathEngine.from_columns(columns, executor="columnar")
+        engine = LPathEngine.from_columns(columns)
+        with pytest.raises(TypeError):
+            engine.query("//NP", executor="columnar")
 
     def test_rejects_non_bundle_input(self):
         rows = list(label_corpus([figure1_tree()]))
