@@ -80,7 +80,7 @@ def _print_cache_stats(args: argparse.Namespace, engine, out: TextIO) -> None:
 #: the engine lives in a daemon on the other side of ``--url``.
 _LOCAL_ONLY_QUERY_FLAGS = (
     ("--segments", "segments"),
-    ("--workers", "workers"), ("--mmap", "mmap"), ("--mode", "mode"),
+    ("--workers", "workers"), ("--mode", "mode"),
     ("--kernels", "kernels"), ("--explain", "explain"),
     ("--cache-stats", "cache_stats"),
 )
@@ -244,7 +244,6 @@ def _run_query(args: argparse.Namespace, out: TextIO) -> int:
     segments = getattr(args, "segments", None)
     workers = getattr(args, "workers", None)
     mode = getattr(args, "mode", None)
-    use_mmap = getattr(args, "mmap", False)
     compiled = args.corpus != "-" and store.is_compiled_corpus(args.corpus)
     if compiled and engine_name not in ("lpath", "sqlite"):
         print(
@@ -252,21 +251,7 @@ def _run_query(args: argparse.Namespace, out: TextIO) -> int:
             file=sys.stderr,
         )
         return 1
-    if use_mmap and (not compiled or engine_name != "lpath"):
-        print(
-            "error: --mmap needs a compiled LPDB0004 corpus and "
-            "--engine lpath",
-            file=sys.stderr,
-        )
-        return 1
     live_dir = compiled and os.path.isdir(args.corpus)
-    if live_dir and use_mmap:
-        print(
-            "error: a live (LPDB0005) directory already serves its base "
-            "segments zero-copy; drop --mmap",
-            file=sys.stderr,
-        )
-        return 1
     if live_dir and segments is not None:
         print(
             "error: live corpora keep their on-disk segmentation "
@@ -274,144 +259,79 @@ def _run_query(args: argparse.Namespace, out: TextIO) -> int:
             file=sys.stderr,
         )
         return 1
-    if use_mmap and segments is not None:
+    # A compiled file keeps its on-disk segments; only an explicit,
+    # different --segments decodes its rows and re-deals them.
+    redeal = (
+        compiled and segments is not None
+        and segments != store.corpus_segment_count(args.corpus)
+    )
+    if mode is not None and (
+        not compiled or redeal
+        or store.corpus_format(args.corpus) != "LPDB0004"
+    ):
         print(
-            "error: --mmap keeps the file's on-disk segments; it cannot "
-            "re-shard (drop --segments, or re-compile with --segments N "
-            "--format lpdb0004)",
+            "error: --mode requires a compiled LPDB0004 corpus opened "
+            "with its on-disk segments",
             file=sys.stderr,
         )
         return 1
-    if mode is not None and not use_mmap:
-        print("error: --mode requires --mmap", file=sys.stderr)
-        return 1
-    if engine_name in ("lpath", "treewalk", "sqlite"):
-        if compiled:
-            if use_mmap:
-                # Zero-copy adoption of an LPDB0004 store.
-                engine = LPathEngine.from_store_mmap(
-                    args.corpus, workers=workers, mode=mode
-                )
-            elif live_dir:
-                # mmap'd base segments + the WAL replayed into an
-                # in-memory delta store, merged like any segmented engine.
-                engine = LPathEngine.open(args.corpus, workers=workers)
-            else:
-                # Straight into columns — no per-row Label objects.  A
-                # segmented file keeps its on-disk shards unless an
-                # explicit --segments asks for a different split, in
-                # which case the shards are merged and re-dealt.
-                file_segments = store.corpus_segment_count(args.corpus)
-                if file_segments > 1 and segments in (None, file_segments):
-                    engine = LPathEngine.from_columns(
-                        store.load_corpus_segments(args.corpus),
-                        workers=workers,
-                    )
-                else:
-                    engine = LPathEngine.from_columns(
-                        store.load_corpus_columns(args.corpus),
-                        segments=segments,
-                        workers=workers,
-                    )
-            trees = []
+    pivot = getattr(args, "pivot", False)
+    trees = [] if compiled else _load_trees(args.corpus)
+    if engine_name in ("tgrep2", "corpussearch"):
+        baseline = (
+            TGrep2Engine if engine_name == "tgrep2" else CorpusSearchEngine
+        )
+        matches = baseline(trees).query(args.query)
+        engine = None
+    else:
+        if redeal:
+            engine = LPathEngine.from_labels(
+                store.load_corpus_labels(args.corpus),
+                segments=segments, workers=workers,
+            )
+        elif compiled:
+            # Zero-copy for LPDB0004; live directories add their WAL
+            # delta; older revisions decode with their own segments.
+            engine = LPathEngine.open(args.corpus, workers=workers, mode=mode)
         else:
-            trees = _load_trees(args.corpus)
-            engine = LPathEngine(
+            factory = XPathEngine if engine_name == "xpath" else LPathEngine
+            engine = factory(
                 trees, segments=1 if segments is None else segments,
                 workers=workers,
             )
         if batch_path is not None:
             return _run_batch_query(args, engine, out)
-        if getattr(args, "explain", False):
-            print(
-                engine.explain(
-                    args.query, pivot=getattr(args, "pivot", False),
-                    limit=limit, agg=agg,
-                ),
-                file=out,
-            )
-            _print_cache_stats(args, engine, out)
-            return 0
-        if agg is not None:
-            _print_aggregate(
-                engine.aggregate(
-                    args.query, agg=agg, pivot=getattr(args, "pivot", False)
-                ),
-                out,
-            )
-            _print_cache_stats(args, engine, out)
-            return 0
-        backend = "plan" if engine_name == "lpath" else engine_name
-        if args.count and backend == "plan":
-            # Count through the compiled plan: segmented engines add
-            # per-segment counts, and process-mode workers return one
-            # integer each instead of shipping every result row.
-            print(
-                engine.count(args.query, pivot=getattr(args, "pivot", False)),
-                file=out,
-            )
-            _print_cache_stats(args, engine, out)
-            return 0
-        matches = engine.query(
-            args.query, backend=backend, pivot=getattr(args, "pivot", False),
-            limit=limit,
-        )
-        stats_engine = engine
-    else:
-        trees = _load_trees(args.corpus)
-        stats_engine = None
-        if engine_name == "tgrep2":
-            matches = TGrep2Engine(trees).query(args.query)
-        elif engine_name == "corpussearch":
-            matches = CorpusSearchEngine(trees).query(args.query)
-        else:
-            engine = XPathEngine(
-                trees, segments=1 if segments is None else segments,
-                workers=workers,
-            )
-            if batch_path is not None:
-                return _run_batch_query(args, engine, out)
-            if getattr(args, "explain", False):
+        plan = engine_name in ("lpath", "xpath")
+        explain = getattr(args, "explain", False)
+        if explain or agg is not None or (args.count and plan):
+            if explain:
                 print(
                     engine.explain(
-                        args.query, pivot=getattr(args, "pivot", False),
-                        limit=limit, agg=agg,
+                        args.query, pivot=pivot, limit=limit, agg=agg
                     ),
                     file=out,
                 )
-                _print_cache_stats(args, engine, out)
-                return 0
-            if agg is not None:
+            elif agg is not None:
                 _print_aggregate(
-                    engine.aggregate(
-                        args.query, agg=agg,
-                        pivot=getattr(args, "pivot", False),
-                    ),
-                    out,
+                    engine.aggregate(args.query, agg=agg, pivot=pivot), out
                 )
-                _print_cache_stats(args, engine, out)
-                return 0
-            if args.count:
-                print(
-                    engine.count(
-                        args.query, pivot=getattr(args, "pivot", False)
-                    ),
-                    file=out,
-                )
-                _print_cache_stats(args, engine, out)
-                return 0
-            matches = engine.query(
-                args.query, pivot=getattr(args, "pivot", False), limit=limit
-            )
-            stats_engine = engine
+            else:
+                # Count through the compiled plan: segmented engines add
+                # per-segment counts, and process-mode workers return one
+                # integer each instead of shipping every result row.
+                print(engine.count(args.query, pivot=pivot), file=out)
+            _print_cache_stats(args, engine, out)
+            return 0
+        oracle = {} if plan else {"backend": engine_name}
+        matches = engine.query(args.query, pivot=pivot, limit=limit, **oracle)
 
     if args.count or compiled:
         print(len(matches), file=out)
         if not args.count:
             for tid, node_id in matches[: args.show or 10]:
                 print(f"tree {tid}\tnode {node_id}", file=out)
-        if stats_engine is not None:
-            _print_cache_stats(args, stats_engine, out)
+        if engine is not None:
+            _print_cache_stats(args, engine, out)
         return 0
     by_tid = {tree.tid: tree for tree in trees}
     shown = 0
@@ -430,8 +350,8 @@ def _run_query(args: argparse.Namespace, out: TextIO) -> int:
         print(f"tree {tid}\t({node.label})\t{words}", file=out)
         shown += 1
     print(f"{len(matches)} match(es)", file=out)
-    if stats_engine is not None:
-        _print_cache_stats(args, stats_engine, out)
+    if engine is not None:
+        _print_cache_stats(args, engine, out)
     return 0
 
 
@@ -715,6 +635,20 @@ def _command_store_info(args: argparse.Namespace, out: TextIO) -> int:
     return 0
 
 
+def _command_store_upgrade(args: argparse.Namespace, out: TextIO) -> int:
+    from . import store
+
+    revision = store.corpus_format(args.path)
+    rows = store.upgrade_corpus(args.path, args.output)
+    segments = store.corpus_segment_count(args.output)
+    print(
+        f"upgraded {args.path} [{revision}] to {args.output} [LPDB0004]: "
+        f"{rows} label rows in {segments} segment(s)",
+        file=out,
+    )
+    return 0
+
+
 def _read_text(path: str) -> str:
     if path == "-":
         return sys.stdin.read()
@@ -841,14 +775,11 @@ def build_parser() -> argparse.ArgumentParser:
     query.add_argument("--segments", type=int, default=None, metavar="N",
                        help="shard the corpus by tree into N independent "
                             "segments (lpath and xpath plan engines; "
-                            "segmented LPDB0003 files keep their on-disk "
-                            "shards by default)")
+                            "compiled files keep their on-disk segments "
+                            "unless N differs)")
     query.add_argument("--workers", type=int, default=None, metavar="N",
                        help="worker-pool size for fanning a query out "
                             "across segments (default: sequential)")
-    query.add_argument("--mmap", action="store_true",
-                       help="open a compiled LPDB0004 corpus zero-copy "
-                            "via mmap (lpath engine; O(1) cold start)")
     query.add_argument("--kernels", choices=KERNEL_MODES, default=None,
                        help="columnar hot-loop backend: native cffi "
                             "kernels, the pure-Python loops, or pick "
@@ -856,8 +787,8 @@ def build_parser() -> argparse.ArgumentParser:
                             "the REPRO_KERNELS environment variable, "
                             "else auto)")
     query.add_argument("--mode", choices=("thread", "process"), default=None,
-                       help="segment fan-out pool flavor for --mmap "
-                            "engines: GIL-bound threads or true "
+                       help="segment fan-out pool flavor for a compiled "
+                            "LPDB0004 corpus: GIL-bound threads or true "
                             "multi-core worker processes (default: "
                             "process when --workers > 1)")
     query.add_argument("--explain", action="store_true",
@@ -942,21 +873,18 @@ def build_parser() -> argparse.ArgumentParser:
                              help="shard the corpus by tree into N "
                                   "segments (default: one store)")
     compile_cmd.add_argument("--format",
-                             choices=("lpdb0002", "lpdb0003",
-                                      "lpdb0004", "lpdb0005"),
+                             choices=("lpdb0004", "lpdb0005"),
                              default="lpdb0004",
                              help="on-disk revision: lpdb0004 (default) "
                                   "writes the zero-copy mmap layout "
                                   "(columns + statistics pre-built, "
                                   "millisecond opens); lpdb0005 writes "
                                   "a live *directory* (WAL-backed, "
-                                  "appendable with 'repro append'); "
-                                  "lpdb0002/lpdb0003 are the older "
-                                  "eagerly decoded revisions")
+                                  "appendable with 'repro append')")
     compile_cmd.set_defaults(handler=_command_compile)
 
     store_cmd = commands.add_parser(
-        "store", help="inspect compiled corpus files"
+        "store", help="inspect and upgrade compiled corpus files"
     )
     store_sub = store_cmd.add_subparsers(dest="store_command", required=True)
     info = store_sub.add_parser(
@@ -968,6 +896,15 @@ def build_parser() -> argparse.ArgumentParser:
     info.add_argument("--top", type=int, default=10, metavar="K",
                       help="names to list, ranked by row count (default 10)")
     info.set_defaults(handler=_command_store_info)
+    upgrade = store_sub.add_parser(
+        "upgrade",
+        help="rewrite a compiled corpus file of any revision "
+             "(LPDB0001-0004) as LPDB0004, keeping its segment count",
+    )
+    upgrade.add_argument("path", help="compiled corpus file to read")
+    upgrade.add_argument("-o", "--output", required=True,
+                         help="LPDB0004 file to write")
+    upgrade.set_defaults(handler=_command_store_upgrade)
 
     append_cmd = commands.add_parser(
         "append",

@@ -59,8 +59,8 @@ class ColumnStore:
     """The label relation as clustered parallel arrays.
 
     Build with :meth:`from_rows` (any iterable of 8-tuples / ``Label``
-    rows) or :meth:`from_columns` (pre-split arrays, e.g. straight from a
-    compiled-corpus file via :func:`repro.store.load_label_columns`).
+    rows); :class:`MappedColumnStore` adopts the same layout zero-copy
+    from an ``LPDB0004`` file.
     """
 
     __slots__ = (
@@ -150,23 +150,6 @@ class ColumnStore:
             for position in range(8):
                 cols[position].append(row[position])
         return cls(*cols, column_names=column_names)
-
-    @classmethod
-    def from_columns(cls, columns, column_names: tuple[str, ...] = COLUMN_NAMES) -> "ColumnStore":
-        """Adopt a pre-split column bundle (anything with the eight
-        ``tid/left/right/depth/id/pid/names/values`` attributes, e.g.
-        :class:`repro.store.LabelColumns`)."""
-        return cls(
-            columns.tid,
-            columns.left,
-            columns.right,
-            columns.depth,
-            columns.id,
-            columns.pid,
-            columns.names,
-            columns.values,
-            column_names=column_names,
-        )
 
     # -- construction helpers ------------------------------------------------
 

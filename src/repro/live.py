@@ -65,12 +65,14 @@ from .store import (
     _checked_block,
     _decode_labels_into,
     _encode_payload,
+    _mapped_segment_parts,
     _read_mmap_sidecar,
     _read_varint,
+    _summarize,
     _write_varint,
     fsync_directory,
     open_mapped_corpus,
-    save_mapped,
+    save_labels,
 )
 from .tree.bracket import iter_trees
 
@@ -312,7 +314,7 @@ def _write_segment_file(path: str, rows, segments: int = 1) -> int:
     and fsync it.  Safe pre-manifest: until a manifest references the
     name, the file is garbage and recovery collects it."""
     with open(path, "wb") as handle:
-        count = save_mapped(rows, handle, segments=segments)
+        count = save_labels(rows, handle, segments=segments)
         handle.flush()
         os.fsync(handle.fileno())
     return count
@@ -336,6 +338,8 @@ def create_live_corpus(path: str, rows, segments: int = 1) -> int:
     replaces it atomically-enough: the new manifest is installed last,
     and the old generation's files become garbage."""
     rows = list(rows)
+    if segments < 1:
+        raise StoreError(f"segment count must be >= 1, got {segments}")
     os.makedirs(path, exist_ok=True)
     existing = os.listdir(path)
     if existing and not os.path.exists(os.path.join(path, MANIFEST_NAME)):
@@ -816,76 +820,32 @@ def live_info(path: str, top: int = 10) -> dict:
     generation, WAL record/row counts, delta vs base split, the last
     recovery action and any torn tail visible to this (read-only)
     scan."""
+    from .columnar.store import ColumnStore
+
     manifest, manifest_bytes = _read_manifest(path)
-    merged: dict[str, list] = {}
-
-    def fold(name, rows, partitions, max_partition, min_depth, max_depth):
-        entry = merged.get(name)
-        if entry is None:
-            merged[name] = [rows, partitions, max_partition,
-                            min_depth, max_depth]
-        else:
-            entry[0] += rows
-            entry[1] += partitions
-            entry[2] = max(entry[2], max_partition)
-            entry[3] = min(entry[3], min_depth)
-            entry[4] = max(entry[4], max_depth)
-
     total_bytes = len(manifest_bytes)
-    base_rows = 0
-    base_trees = 0
-    base_segments = 0
+    metas = []
     for name, _rows in manifest.segments:
         file_path = os.path.join(path, name)
         total_bytes += os.path.getsize(file_path)
         with open(file_path, "rb") as handle:
-            header = _read_mmap_sidecar(handle, handle.read(8))
-        base_segments += len(header.segments)
-        for meta in header.segments:
-            base_rows += meta.n
-            base_trees += len(meta.tid_dir)
-            row_lo = part_lo = 0
-            for sid, row_hi, part_hi, max_part, min_d, max_d in meta.names:
-                fold(meta.strings[sid - 1], row_hi - row_lo,
-                     part_hi - part_lo, max_part, min_d, max_d)
-                row_lo, part_lo = row_hi, part_hi
+            metas.extend(_read_mmap_sidecar(handle, handle.read(8)).segments)
+    base_segments = len(metas)
+    base_rows = sum(meta.n for meta in metas)
     wal_path = os.path.join(path, manifest.wal)
     scan = _scan_wal(wal_path)
     total_bytes += os.path.getsize(wal_path)
-    per_partition: dict[tuple[str, int], int] = {}
-    depths: dict[str, tuple[int, int]] = {}
-    delta_tids: set[int] = set()
-    for row in scan.rows:
-        delta_tids.add(row[0])
-        key = (row[6], row[0])
-        per_partition[key] = per_partition.get(key, 0) + 1
-        span = depths.get(row[6])
-        depths[row[6]] = (
-            (row[3], row[3]) if span is None
-            else (min(span[0], row[3]), max(span[1], row[3]))
-        )
-    delta_counts: dict[str, list] = {}
-    for (name, _tid), count in per_partition.items():
-        entry = delta_counts.setdefault(name, [0, 0, 0])
-        entry[0] += count
-        entry[1] += 1
-        entry[2] = max(entry[2], count)
-    for name, (total, partitions, max_partition) in delta_counts.items():
-        min_depth, max_depth = depths[name]
-        fold(name, total, partitions, max_partition, min_depth, max_depth)
-
-    ranked = sorted(merged.items(), key=lambda item: (-item[1][0], item[0]))
     delta_rows = len(scan.rows)
-    return {
-        "path": path,
-        "bytes": total_bytes,
-        "format": LIVE_MAGIC.decode("ascii"),
-        "segments": base_segments + (1 if (delta_rows or not base_segments)
-                                     else 0),
-        "rows": base_rows + delta_rows,
-        "trees": base_trees + len(delta_tids),
-        "distinct_names": len(merged),
-        "top_names": [(name, tuple(stats)) for name, stats in ranked[:top]],
+    if delta_rows:
+        # The delta's statistics, as the sidecar it would compact into.
+        delta = ColumnStore.from_rows(scan.rows)
+        metas.append(_mapped_segment_parts(delta)[0])
+    info = _summarize(
+        path, total_bytes, LIVE_MAGIC.decode("ascii"),
+        base_segments + (1 if (delta_rows or not base_segments) else 0),
+        metas, top,
+    )
+    info.update({
         "generation": manifest.generation,
         "base_segments": len(manifest.segments),
         "base_rows": base_rows,
@@ -898,7 +858,8 @@ def live_info(path: str, top: int = 10) -> dict:
             max((row[0] for row in scan.rows), default=-1) + 1,
         ),
         "last_recovery": manifest.last_recovery or None,
-    }
+    })
+    return info
 
 
 def load_live_labels(path: str) -> list[Label]:
@@ -949,6 +910,7 @@ def _build_live_engine(
     objects (the manager reuses them across engine swaps); missing
     entries are opened and added."""
     from .columnar.store import ColumnStore, MappedColumnStore
+    from .lpath.compiler import PlanCompiler
     from .lpath.engine import LPathEngine
 
     stores = []
@@ -964,11 +926,8 @@ def _build_live_engine(
     if delta_rows or not stores:
         stores.append(ColumnStore.from_rows(list(delta_rows)))
         kinds.append("delta")
-    engine = LPathEngine.from_columns(
-        stores if len(stores) > 1 else stores[0],
-        plan_cache_size=plan_cache_size,
-        workers=workers,
-    )
+    engine = LPathEngine.__new__(LPathEngine)
+    engine._adopt(stores, PlanCompiler, plan_cache_size, workers)
     compiler = engine._compiler
     if hasattr(compiler, "segments"):
         for segment, kind in zip(compiler.segments, kinds):

@@ -15,7 +15,7 @@ Three backends share one parser and one axis semantics:
 
 Every constructor ends in the same place — one column store per segment —
 whether it starts from trees (labeled with :func:`label_corpus`), label
-rows, column bundles or a compiled corpus file.  ``segments > 1`` shards
+rows or a compiled corpus file (adopted zero-copy for ``LPDB0004``).  ``segments > 1`` shards
 the corpus by tree into independent stores (:mod:`repro.plan.segmented`):
 queries compile once, run against every shard (optionally on a
 ``workers``-sized pool) and merge the sorted per-shard results —
@@ -36,7 +36,6 @@ from ..labeling.lpath_scheme import label_corpus
 from ..plan.engine import PlanEngine, stores_from_rows
 from ..plan.segmented import RemoteSpec, validate_segmentation
 from ..relational.sqlite_backend import SQLiteBackend
-from ..store import partition_columns
 from ..tree.node import Tree, TreeNode
 from .ast import Path
 from .compiler import PlanCompiler
@@ -47,12 +46,6 @@ from .treewalk import TreeWalkEvaluator
 
 Query = Union[str, Path]
 BACKENDS = ("plan", "sqlite", "treewalk")
-
-#: The attribute surface an object must expose to count as a column bundle
-#: (:class:`repro.store.LabelColumns` or anything shaped like it).
-COLUMN_BUNDLE_ATTRS = (
-    "tid", "left", "right", "depth", "id", "pid", "names", "values",
-)
 
 
 class LPathEngine(PlanEngine):
@@ -105,37 +98,6 @@ class LPathEngine(PlanEngine):
         return engine
 
     @classmethod
-    def from_columns(
-        cls,
-        columns,
-        plan_cache_size: int = 128,
-        segments: Optional[int] = None,
-        workers: Optional[int] = None,
-    ) -> "LPathEngine":
-        """Build an engine from one column bundle (e.g.
-        :func:`repro.store.load_corpus_columns`) or a *list* of per-segment
-        bundles (:func:`repro.store.load_corpus_segments`) without ever
-        materializing per-row tuples.  No trees are kept.
-
-        ``segments=N`` re-shards a single bundle by tree; a bundle list is
-        already sharded and adopts one store per element.  ``workers``
-        sizes the thread pool the per-segment plans fan out on."""
-        from ..columnar import ColumnStore
-
-        bundles = cls._as_bundle_list(columns, segments)
-        validate_segmentation(len(bundles), workers)
-        engine = cls.__new__(cls)
-        engine._adopt(
-            [
-                bundle if isinstance(bundle, ColumnStore)
-                else ColumnStore.from_columns(bundle)
-                for bundle in bundles
-            ],
-            PlanCompiler, plan_cache_size, workers,
-        )
-        return engine
-
-    @classmethod
     def from_store_mmap(
         cls,
         path: str,
@@ -169,15 +131,16 @@ class LPathEngine(PlanEngine):
         workers: Optional[int] = None,
         mode: Optional[str] = None,
     ) -> "LPathEngine":
-        """Open any compiled corpus file.
+        """Open any compiled corpus.
 
         ``LPDB0004`` files are adopted zero-copy via
         :meth:`from_store_mmap`; ``LPDB0005`` live directories open as a
         snapshot over mmap'd base segments plus the WAL replayed into an
         in-memory delta store (:func:`repro.live.open_live_engine`);
-        older revisions are decoded eagerly (``mode="process"``
-        therefore requires an ``LPDB0004`` file — worker processes
-        re-open the store by path)."""
+        older revisions are decoded to rows and rebuilt with their
+        on-disk segment count (``mode="process"`` therefore requires an
+        ``LPDB0004`` file — worker processes re-open the store by path;
+        ``repro store upgrade`` converts an old file)."""
         import os as _os
 
         from .. import store as store_module
@@ -196,65 +159,16 @@ class LPathEngine(PlanEngine):
             )
         if mode == "process":
             raise LPathError(
-                "process-mode fan-out needs an LPDB0004 store (re-save the "
-                f"corpus with format='lpdb0004'); {path} is "
+                "process-mode fan-out needs an LPDB0004 store (convert "
+                f"it with 'repro store upgrade'); {path} is "
                 f"{store_module.corpus_format(path)}"
             )
-        shards = store_module.load_corpus_segments(path)
-        return cls.from_columns(
-            shards if len(shards) > 1 else shards[0],
+        return cls.from_labels(
+            store_module.load_corpus_labels(path),
             plan_cache_size=plan_cache_size,
+            segments=store_module.corpus_segment_count(path),
             workers=workers,
         )
-
-    @staticmethod
-    def _as_bundle_list(columns, segments: Optional[int]) -> list:
-        """Normalize ``from_columns`` input to a list of validated column
-        bundles, applying an optional re-shard."""
-        from ..columnar import ColumnStore
-
-        def check(bundle):
-            if isinstance(bundle, ColumnStore):
-                return bundle
-            missing = [
-                attr for attr in COLUMN_BUNDLE_ATTRS
-                if not hasattr(bundle, attr)
-            ]
-            if missing:
-                raise LPathError(
-                    "from_columns expected a column bundle with the "
-                    f"{'/'.join(COLUMN_BUNDLE_ATTRS)} columns "
-                    f"(e.g. repro.store.LabelColumns); {type(bundle).__name__!r} "
-                    f"is missing {', '.join(missing)}"
-                )
-            lengths = {
-                attr: len(getattr(bundle, attr)) for attr in COLUMN_BUNDLE_ATTRS
-            }
-            if len(set(lengths.values())) > 1:
-                raise LPathError(
-                    f"ragged column bundle: column lengths differ ({lengths})"
-                )
-            return bundle
-
-        if isinstance(columns, (list, tuple)):
-            if not columns:
-                raise LPathError("from_columns needs at least one bundle")
-            bundles = [check(bundle) for bundle in columns]
-            if segments is not None and segments != len(bundles):
-                raise LPathError(
-                    f"segments={segments} conflicts with a list of "
-                    f"{len(bundles)} pre-sharded bundles"
-                )
-            return bundles
-        bundle = check(columns)
-        if segments is None or segments == 1:
-            return [bundle]
-        if isinstance(bundle, ColumnStore):
-            raise LPathError(
-                "cannot re-shard an already built ColumnStore; pass the raw "
-                "LabelColumns (or a list of per-segment bundles) instead"
-            )
-        return partition_columns(bundle, segments)
 
     # -- queries ------------------------------------------------------------
 
@@ -328,7 +242,7 @@ class LPathEngine(PlanEngine):
         if self._treewalk is None:
             raise LPathError(
                 "this engine keeps no trees (built with keep_trees=False, "
-                "from_labels, from_columns or from a compiled corpus), so "
+                "from_labels or from a compiled corpus), so "
                 "the treewalk backend is unavailable"
             )
         return self._treewalk

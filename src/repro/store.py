@@ -4,20 +4,9 @@ TGrep2 queries a "binary file representation of the data"; the analogous
 artifact for the LPath engine is the labeled relation itself.  This module
 writes ``node(tid, left, right, depth, id, pid, name, value)`` rows to a
 compact binary file so an engine can start without re-parsing and
-re-labeling the treebank.  Four on-disk revisions exist:
+re-labeling the treebank.  Two layouts are written:
 
-* ``LPDB0001`` — magic + payload, no checksum (read-only legacy);
-* ``LPDB0002`` — magic + payload length + CRC-32 + payload, where the
-  payload is a row count, a string table (interned names and values —
-  tags and words repeat heavily), then rows of seven varint-packed
-  integers plus two string-table references;
-* ``LPDB0003`` — the *segmented* format: magic + a manifest (segment
-  count) followed by one block per segment, each block carrying its own
-  length + CRC-32 header over an ``LPDB0002``-shaped payload.  Segments
-  partition the corpus by tree (``tid``), so every block is a
-  self-contained shard that one :class:`repro.columnar.ColumnStore` can
-  adopt independently and query in parallel;
-* ``LPDB0004`` — the *zero-copy* layout: a small varint sidecar (string
+* ``LPDB0004`` — the *zero-copy* file: a small varint sidecar (string
   table, per-name directory with collected ``NameStats``, per-tree
   directories, blob offsets — everything O(segments + names + trees))
   followed by an 8-aligned data region holding each segment's columns as
@@ -26,7 +15,9 @@ re-labeling the treebank.  Four on-disk revisions exist:
   load time (``(tid, id)`` and children permutations, attribute/edge
   bitmaps, per-``(name, tid)`` partition bounds).  Opening the file
   (:func:`open_mapped_corpus`) ``mmap``\\ s it and adopts ``memoryview``\\ s
-  straight off the map — no per-row decode, no sort, no statistics scan;
+  straight off the map — no per-row decode, no sort, no statistics scan.
+  Segments partition the corpus by tree (``tid``), so every segment is a
+  self-contained shard that can be queried in parallel;
 * ``LPDB0005`` — the *live* layout (:mod:`repro.live`): a **directory**
   of immutable base ``LPDB0004`` segment files, an append-only
   write-ahead log of row batches (length+CRC-framed, fsync'd before
@@ -35,26 +26,29 @@ re-labeling the treebank.  Four on-disk revisions exist:
   path-level helpers here (:func:`corpus_format`, :func:`corpus_info`,
   :func:`store_fingerprint`, ...) dispatch directories to that module.
 
+Three older revisions stay readable (:func:`load_labels`) but are no
+longer written; :func:`upgrade_corpus` (``repro store upgrade``) rewrites
+any of them as ``LPDB0004``:
+
+* ``LPDB0001`` — magic + payload, no checksum;
+* ``LPDB0002`` — magic + payload length + CRC-32 + payload, where the
+  payload is a row count, a string table (interned names and values),
+  then rows of six varint integers plus two string-table references
+  (the WAL frames of :mod:`repro.live` carry the same payload);
+* ``LPDB0003`` — magic + segment count, then one length + CRC-32 block
+  per segment, each an ``LPDB0002``-shaped payload.
+
 Every *file* write goes through :func:`atomic_write`: the bytes land in
 a same-directory temp file, are fsync'd, and only then atomically
 renamed over the destination — a crash mid-save can leave a stray temp
 file but can never truncate a previously good store.
 
-Every revision is self-contained and versioned; the loaders verify the
-magic, the declared lengths and the checksums, so truncation and bit
-corruption fail loudly with :class:`StoreError` instead of decoding to
-garbage.  (``LPDB0004`` checksums its sidecar and validates every blob
-offset/length against the file size; the column blobs themselves are
-trusted after those checks — re-checksumming gigabytes of columns on
-every open would defeat the O(1) cold start.)
-
-Loaders share one payload parser: :func:`load_labels` materializes
-``Label`` rows for the row-oriented engine, :func:`load_label_columns`
-fills parallel arrays directly — the shape
-:class:`repro.columnar.ColumnStore` adopts without ever building a
-per-row object — and :func:`load_segment_columns` keeps the shards of an
-``LPDB0003``/``LPDB0004`` file apart (older single-store files load as
-one segment).
+The loaders verify the magic, the declared lengths and the checksums, so
+truncation and bit corruption fail loudly with :class:`StoreError`
+instead of decoding to garbage.  (``LPDB0004`` checksums its sidecar and
+validates every blob offset/length against the file size; the column
+blobs themselves are trusted after those checks — re-checksumming
+gigabytes of columns on every open would defeat the O(1) cold start.)
 """
 
 from __future__ import annotations
@@ -66,7 +60,7 @@ import os
 import sys
 import zlib
 from array import array
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import BinaryIO, Iterable, Iterator, Optional, Sequence
 
 from .labeling.lpath_scheme import Label
@@ -78,10 +72,9 @@ MMAP_MAGIC = b"LPDB0004"
 #: The live *directory* layout's manifest magic (:mod:`repro.live`).
 LIVE_MAGIC = b"LPDB0005"
 
-#: ``save_labels(format=...)`` spellings, newest last (``lpdb0005`` is a
-#: directory layout, valid for :func:`save_corpus` but not for the
-#: stream-oriented :func:`save_labels`).
-FORMATS = ("lpdb0002", "lpdb0003", "lpdb0004")
+#: The written ``format=`` spellings: the :func:`save_labels` file layout
+#: and the live directory layout :func:`save_corpus` also accepts.
+FILE_FORMAT = "lpdb0004"
 LIVE_FORMAT = "lpdb0005"
 #: String-table index meaning "no value" (element rows).
 _NO_VALUE = 0
@@ -174,7 +167,8 @@ def _read_varint(data: bytes, offset: int) -> tuple[int, int]:
 
 
 def _encode_payload(rows: Iterable) -> tuple[bytes, int]:
-    """Encode rows into one LPDB payload blob; returns ``(blob, count)``."""
+    """Encode rows into one row payload (the ``LPDB0002`` block shape the
+    live WAL frames carry); returns ``(blob, count)``."""
     strings: dict[str, int] = {}
 
     def intern(text: str) -> int:
@@ -209,15 +203,6 @@ def _encode_payload(rows: Iterable) -> tuple[bytes, int]:
     return payload.getvalue(), count
 
 
-def _write_block(stream: BinaryIO, blob: bytes) -> None:
-    """One length + CRC-32 header followed by the payload bytes."""
-    header = io.BytesIO()
-    _write_varint(header, len(blob))
-    _write_varint(header, zlib.crc32(blob))
-    stream.write(header.getvalue())
-    stream.write(blob)
-
-
 def partition_rows_by_tid(rows: Sequence, segments: int) -> list[list]:
     """Deal the trees of a label relation into ``segments`` disjoint shards.
 
@@ -238,75 +223,21 @@ def partition_rows_by_tid(rows: Sequence, segments: int) -> list[list]:
     return shards
 
 
-def save_segments(
-    segment_rows: Sequence[Sequence[Label]], stream: BinaryIO
-) -> int:
-    """Write an ``LPDB0003`` segmented corpus; returns total rows written.
-
-    The caller controls the sharding — each element of ``segment_rows``
-    becomes one block.  Use :func:`partition_rows_by_tid` for the standard
-    tid-partitioned split (required for parallel query execution to return
-    distinct results; this function does not re-check it).
-    """
-    stream.write(SEGMENTED_MAGIC)
-    header = io.BytesIO()
-    _write_varint(header, len(segment_rows))
-    stream.write(header.getvalue())
-    total = 0
-    for rows in segment_rows:
-        blob, count = _encode_payload(rows)
-        _write_block(stream, blob)
-        total += count
-    return total
+def _check_format(format: Optional[str], allowed: tuple) -> Optional[str]:
+    """Normalize a ``format=`` spelling; older revisions are read-only."""
+    if format is None:
+        return None
+    format = format.lower()
+    if format not in allowed:
+        raise StoreError(
+            f"unknown store format {format!r}; choose from {allowed} "
+            "(LPDB0001-0003 are read-only: 'repro store upgrade' rewrites "
+            "them as LPDB0004)"
+        )
+    return format
 
 
-def save_labels(
-    rows: Sequence[Label], stream: BinaryIO, checksum: bool = True,
-    segments: int = 1, format: Optional[str] = None,
-) -> int:
-    """Write label rows; returns the number of rows written.
-
-    ``format`` pins the on-disk revision (``"lpdb0002"``, ``"lpdb0003"``
-    or the zero-copy ``"lpdb0004"``); the default (``None``) keeps the
-    historical behavior — ``segments > 1`` writes the ``LPDB0003``
-    segmented layout with the corpus partitioned by tree
-    (:func:`partition_rows_by_tid`), one segment writes ``LPDB0002``.
-    ``checksum=False`` writes the legacy ``LPDB0001`` layout (no length or
-    CRC header) — kept for round-trip tests against old files; it has no
-    segmented or pinned-format variant.
-    """
-    if segments < 1:
-        raise StoreError(f"segment count must be >= 1, got {segments}")
-    if format is not None:
-        format = format.lower()
-        if format not in FORMATS:
-            raise StoreError(
-                f"unknown store format {format!r}; choose from {FORMATS}"
-            )
-        if not checksum:
-            raise StoreError("pinned formats always carry checksums")
-        if format == "lpdb0004":
-            return save_mapped(rows, stream, segments=segments)
-        if format == "lpdb0003":
-            return save_segments(partition_rows_by_tid(rows, segments), stream)
-        if segments > 1:
-            raise StoreError("lpdb0002 is a single-store layout; use "
-                             "lpdb0003/lpdb0004 for segmented corpora")
-    if segments > 1:
-        if not checksum:
-            raise StoreError("the segmented layout always carries checksums")
-        return save_segments(partition_rows_by_tid(rows, segments), stream)
-    blob, count = _encode_payload(rows)
-    if not checksum:
-        stream.write(LEGACY_MAGIC)
-        stream.write(blob)
-        return count
-    stream.write(MAGIC)
-    _write_block(stream, blob)
-    return count
-
-
-# -- parsing (shared by both loaders) -----------------------------------------
+# -- row payloads: LPDB0001-0003 files and the live WAL's frames -------------
 
 
 def _checked_block(data: bytes, offset: int) -> tuple[bytes, int]:
@@ -352,7 +283,7 @@ def _segment_payloads(data: bytes) -> list[bytes]:
             )
         return payloads
     raise StoreError(
-        "not a compiled corpus file (bad magic; expected LPDB0002/LPDB0003)"
+        "not a compiled corpus file (bad magic; expected LPDB0001-LPDB0004)"
     )
 
 
@@ -375,9 +306,9 @@ def _parse_string_table(payload: bytes) -> tuple[int, list[str], int]:
 
 
 def load_labels(stream: BinaryIO) -> list[Label]:
-    """Read label rows written by :func:`save_labels` (any revision;
-    segmented files concatenate their shards in segment order; mapped
-    files come back in clustered order)."""
+    """Read the label rows of a compiled corpus file of any revision
+    (``LPDB0004`` rows come back in clustered order, segment by segment;
+    ``LPDB0003`` files concatenate their shards in segment order)."""
     data = stream.read()
     rows: list[Label] = []
     if data.startswith(MMAP_MAGIC):
@@ -410,109 +341,6 @@ def _decode_labels_into(payload: bytes, rows: list[Label]) -> None:
         raise StoreError(f"{len(payload) - offset} trailing bytes after rows")
 
 
-@dataclass
-class LabelColumns:
-    """The label relation as parallel columns (no per-row objects)."""
-
-    tid: array = field(default_factory=lambda: array("q"))
-    left: array = field(default_factory=lambda: array("q"))
-    right: array = field(default_factory=lambda: array("q"))
-    depth: array = field(default_factory=lambda: array("q"))
-    id: array = field(default_factory=lambda: array("q"))
-    pid: array = field(default_factory=lambda: array("q"))
-    names: list[str] = field(default_factory=list)
-    values: list[Optional[str]] = field(default_factory=list)
-
-    def __len__(self) -> int:
-        return len(self.tid)
-
-
-def load_label_columns(stream: BinaryIO) -> LabelColumns:
-    """Read a compiled corpus straight into parallel columns.
-
-    Decodes the same byte layout as :func:`load_labels` but appends each
-    field to its column array — no :class:`Label` (or any other per-row
-    object) is ever created, which is what makes cold columnar-engine
-    startup linear in the file size with tiny constant factors.  Segmented
-    files merge their shards into one bundle; use
-    :func:`load_segment_columns` to keep them apart.
-    """
-    data = stream.read()
-    columns = LabelColumns()
-    if data.startswith(MMAP_MAGIC):
-        for segment in _parse_mapped(data, []):
-            _mapped_columns_into(segment, columns)
-        return columns
-    for payload in _segment_payloads(data):
-        _decode_columns_into(payload, columns)
-    return columns
-
-
-def load_segment_columns(stream: BinaryIO) -> list[LabelColumns]:
-    """Read a compiled corpus as one column bundle *per segment*.
-
-    The shard structure of an ``LPDB0003`` file survives loading — each
-    bundle feeds one :class:`repro.columnar.ColumnStore`, which is what a
-    segmented engine fans queries out over.  Single-store revisions load
-    as one segment, so callers need no format-generation switch.
-    """
-    data = stream.read()
-    segments: list[LabelColumns] = []
-    if data.startswith(MMAP_MAGIC):
-        for segment in _parse_mapped(data, []):
-            columns = LabelColumns()
-            _mapped_columns_into(segment, columns)
-            segments.append(columns)
-        return segments
-    for payload in _segment_payloads(data):
-        columns = LabelColumns()
-        _decode_columns_into(payload, columns)
-        segments.append(columns)
-    return segments
-
-
-def _decode_columns_into(payload: bytes, columns: LabelColumns) -> None:
-    count, table, offset = _parse_string_table(payload)
-    ints = (columns.tid, columns.left, columns.right,
-            columns.depth, columns.id, columns.pid)
-    names, values = columns.names, columns.values
-    read = _read_varint
-    for _ in range(count):
-        for column in ints:
-            value, offset = read(payload, offset)
-            column.append(value)
-        name_index, offset = read(payload, offset)
-        value_index, offset = read(payload, offset)
-        try:
-            names.append(table[name_index])
-            values.append(None if value_index == _NO_VALUE else table[value_index])
-        except IndexError:
-            raise StoreError("string-table reference out of range") from None
-    if offset != len(payload):
-        raise StoreError(f"{len(payload) - offset} trailing bytes after rows")
-
-
-def partition_columns(columns: LabelColumns, segments: int) -> list[LabelColumns]:
-    """Shard one column bundle by tree, mirroring
-    :func:`partition_rows_by_tid` (same deterministic round-robin deal
-    over sorted tids), without materializing row objects."""
-    if segments < 1:
-        raise StoreError(f"segment count must be >= 1, got {segments}")
-    assignment = {
-        tid: index % segments
-        for index, tid in enumerate(sorted(set(columns.tid)))
-    }
-    shards = [LabelColumns() for _ in range(segments)]
-    ints = ("tid", "left", "right", "depth", "id", "pid")
-    for row in range(len(columns)):
-        shard = shards[assignment[columns.tid[row]]]
-        for name in ints:
-            getattr(shard, name).append(getattr(columns, name)[row])
-        shard.names.append(columns.names[row])
-        shard.values.append(columns.values[row])
-    return shards
-
-
 # -- file helpers -------------------------------------------------------------
 
 
@@ -522,21 +350,22 @@ def save_corpus(
 ) -> int:
     """Label a corpus of trees and save it; returns the row count.
 
-    ``segments > 1`` writes a segmented layout, sharded by tree;
-    ``format`` pins the on-disk revision (see :func:`save_labels`;
-    ``"lpdb0005"`` creates a live *directory* via :mod:`repro.live`).
-    File formats are written through :func:`atomic_write`, so a crash
-    mid-save never destroys a previously good store at ``path``."""
+    ``segments > 1`` shards the corpus by tree.  ``format`` is
+    ``"lpdb0004"`` (the default: one file, see :func:`save_labels`) or
+    ``"lpdb0005"`` (a live *directory* via :mod:`repro.live`).  Files
+    are written through :func:`atomic_write`, so a crash mid-save never
+    destroys a previously good store at ``path``."""
     from .labeling.lpath_scheme import label_corpus
 
+    format = _check_format(format, (FILE_FORMAT, LIVE_FORMAT))
     rows = list(label_corpus(trees))
-    if format is not None and format.lower() == LIVE_FORMAT:
+    if format == LIVE_FORMAT:
         from .live import create_live_corpus
 
         create_live_corpus(path, rows, segments=segments)
         return len(rows)
     with atomic_write(path) as handle:
-        return save_labels(rows, handle, segments=segments, format=format)
+        return save_labels(rows, handle, segments=segments)
 
 
 def load_corpus_labels(path: str) -> list[Label]:
@@ -550,16 +379,20 @@ def load_corpus_labels(path: str) -> list[Label]:
         return load_labels(handle)
 
 
-def load_corpus_columns(path: str) -> LabelColumns:
-    """Load a compiled corpus file straight into parallel columns."""
-    with open(path, "rb") as handle:
-        return load_label_columns(handle)
-
-
-def load_corpus_segments(path: str) -> list[LabelColumns]:
-    """Load a compiled corpus file as per-segment column bundles."""
-    with open(path, "rb") as handle:
-        return load_segment_columns(handle)
+def upgrade_corpus(path: str, output: str) -> int:
+    """Rewrite a compiled corpus *file* of any revision as ``LPDB0004``
+    at ``output`` (through :func:`atomic_write`, keeping its segment
+    count); returns the row count.  Live directories are refused: their
+    base segments are ``LPDB0004`` already."""
+    if os.path.isdir(path):
+        raise StoreError(
+            f"{path} is a live (LPDB0005) directory; its base segments "
+            "are LPDB0004 already ('repro compact' folds the WAL delta)"
+        )
+    segments = corpus_segment_count(path)
+    rows = load_corpus_labels(path)
+    with atomic_write(output) as handle:
+        return save_labels(rows, handle, segments=segments)
 
 
 def corpus_format(path: str) -> str:
@@ -882,15 +715,22 @@ def _mapped_segment_parts(store) -> tuple[MmapSegmentMeta, list[bytes]]:
     return meta, blobs
 
 
-def save_mapped(rows: Sequence, stream: BinaryIO, segments: int = 1) -> int:
-    """Write the ``LPDB0004`` zero-copy layout; returns rows written.
+def save_labels(
+    rows: Sequence[Label], stream: BinaryIO, segments: int = 1,
+    format: Optional[str] = None,
+) -> int:
+    """Write label rows as an ``LPDB0004`` file; returns rows written.
 
-    Saving is the expensive side on purpose: each shard is run through a
-    full :class:`~repro.columnar.ColumnStore` build (clustered sort,
+    ``segments > 1`` deals the trees into that many shards
+    (:func:`partition_rows_by_tid`).  ``format`` may only name the one
+    written layout (``"lpdb0004"``).  Saving is the expensive side on
+    purpose: each shard is run through a full
+    :class:`~repro.columnar.ColumnStore` build (clustered sort,
     projections, bitmaps, partition bounds, statistics) and the results
     are serialized, so *opening* the file needs none of that work."""
     from .columnar.store import ColumnStore
 
+    _check_format(format, (FILE_FORMAT,))
     if segments < 1:
         raise StoreError(f"segment count must be >= 1, got {segments}")
     rows = list(rows)
@@ -900,6 +740,7 @@ def save_mapped(rows: Sequence, stream: BinaryIO, segments: int = 1) -> int:
     metas, payloads = [], []
     offset = 0
     for shard in shards:
+        # One shard's store at a time: only its blobs outlive the loop.
         meta, blobs = _mapped_segment_parts(ColumnStore.from_rows(shard))
         for blob in blobs:
             meta.blobs.append((offset, len(blob)))
@@ -1098,42 +939,23 @@ def open_mapped_corpus(path: str) -> MappedCorpus:
     return MappedCorpus(path, segments, views, mapping, handle)
 
 
-def _mapped_string_lookup(segment: MappedSegment):
-    """A checked ``row -> (name, value)`` reader for the eager loaders
-    (the mmap path trusts the data region; the eager decode validates)."""
+def _mapped_labels_into(segment: MappedSegment, rows: list) -> None:
+    """Decode one mapped segment into ``Label`` rows, checking every
+    string-table reference (the mmap path trusts the data region; the
+    eager decode validates)."""
     table = segment.table
     size = len(table)
     name_ids, value_ids = segment.name_ids, segment.value_ids
-
-    def lookup(row: int) -> tuple[str, Optional[str]]:
-        name_id, value_id = name_ids[row], value_ids[row]
-        if not 1 <= name_id < size or not 0 <= value_id < size:
-            raise StoreError("string-table reference out of range")
-        return table[name_id], table[value_id]
-
-    return lookup
-
-
-def _mapped_labels_into(segment: MappedSegment, rows: list) -> None:
-    lookup = _mapped_string_lookup(segment)
     tid, left, right = segment.tid, segment.left, segment.right
     depth, node_id, pid = segment.depth, segment.id, segment.pid
     for row in range(segment.n):
-        name, value = lookup(row)
+        name_id, value_id = name_ids[row], value_ids[row]
+        if not 1 <= name_id < size or not 0 <= value_id < size:
+            raise StoreError("string-table reference out of range")
         rows.append(Label(
             tid[row], left[row], right[row], depth[row],
-            node_id[row], pid[row], name, value,
+            node_id[row], pid[row], table[name_id], table[value_id],
         ))
-
-
-def _mapped_columns_into(segment: MappedSegment, columns: LabelColumns) -> None:
-    lookup = _mapped_string_lookup(segment)
-    for attr in ("tid", "left", "right", "depth", "id", "pid"):
-        getattr(columns, attr).frombytes(getattr(segment, attr).tobytes())
-    for row in range(segment.n):
-        name, value = lookup(row)
-        columns.names.append(name)
-        columns.values.append(value)
 
 
 def _read_mmap_sidecar(handle: BinaryIO, head: bytes) -> MmapHeader:
@@ -1165,81 +987,61 @@ def corpus_info(path: str, top: int = 10) -> dict:
 
     For ``LPDB0004`` everything comes from the sidecar — no column (let
     alone value) data is read.  Older revisions have no statistics on
-    disk, so their payloads are decoded and scanned.  Live directories
-    add their manifest generation, WAL record/row counts, delta vs base
-    row split and last recovery action (:func:`repro.live.live_info`)."""
+    disk, so their rows are decoded and built into the same sidecar
+    records in memory.  Live directories add their manifest generation,
+    WAL record/row counts, delta vs base row split and last recovery
+    action (:func:`repro.live.live_info`)."""
     if os.path.isdir(path):
         from .live import live_info
 
         return live_info(path, top=top)
     revision = corpus_format(path)
-    size = os.path.getsize(path)
-    merged: dict[str, list] = {}
-
-    def fold(name: str, rows: int, partitions: int, max_partition: int,
-             min_depth: int, max_depth: int) -> None:
-        entry = merged.get(name)
-        if entry is None:
-            merged[name] = [rows, partitions, max_partition,
-                            min_depth, max_depth]
-        else:
-            entry[0] += rows
-            entry[1] += partitions
-            entry[2] = max(entry[2], max_partition)
-            entry[3] = min(entry[3], min_depth)
-            entry[4] = max(entry[4], max_depth)
-
     if revision == MMAP_MAGIC.decode("ascii"):
         with open(path, "rb") as handle:
-            header = _read_mmap_sidecar(handle, handle.read(len(MMAP_MAGIC)))
-        segments = len(header.segments)
-        rows = sum(meta.n for meta in header.segments)
-        trees = sum(len(meta.tid_dir) for meta in header.segments)
-        for meta in header.segments:
-            row_lo = part_lo = 0
-            for sid, row_hi, part_hi, max_part, min_d, max_d in meta.names:
-                fold(meta.strings[sid - 1], row_hi - row_lo,
-                     part_hi - part_lo, max_part, min_d, max_d)
-                row_lo, part_lo = row_hi, part_hi
+            head = handle.read(len(MMAP_MAGIC))
+            metas = _read_mmap_sidecar(handle, head).segments
     else:
-        shards = load_corpus_segments(path)
-        segments = len(shards)
-        rows = sum(len(shard) for shard in shards)
-        tids: set[int] = set()
-        for shard in shards:
-            tids.update(shard.tid)
-            per_partition: dict[tuple[str, int], int] = {}
-            depths: dict[str, tuple[int, int]] = {}
-            for row in range(len(shard)):
-                name = shard.names[row]
-                key = (name, shard.tid[row])
-                per_partition[key] = per_partition.get(key, 0) + 1
-                depth = shard.depth[row]
-                span = depths.get(name)
-                depths[name] = (
-                    (depth, depth) if span is None
-                    else (min(span[0], depth), max(span[1], depth))
-                )
-            counts: dict[str, list] = {}
-            for (name, _tid), count in per_partition.items():
-                entry = counts.setdefault(name, [0, 0, 0])
-                entry[0] += count
-                entry[1] += 1
-                entry[2] = max(entry[2], count)
-            for name, (total, partitions, max_partition) in counts.items():
-                min_depth, max_depth = depths[name]
-                fold(name, total, partitions, max_partition,
-                     min_depth, max_depth)
-        trees = len(tids)
+        from .plan.engine import stores_from_rows
 
+        metas = [
+            _mapped_segment_parts(store)[0]
+            for store in stores_from_rows(
+                load_corpus_labels(path), corpus_segment_count(path)
+            )
+        ]
+    return _summarize(
+        path, os.path.getsize(path), revision, len(metas), metas, top
+    )
+
+
+def _summarize(path: str, size: int, revision: str, segments: int,
+               metas: Sequence[MmapSegmentMeta], top: int) -> dict:
+    """The :func:`corpus_info` document for a corpus whose segments are
+    described by the sidecar records ``metas``: per-name directories are
+    folded into corpus-wide ``(rows, partitions, max_partition,
+    min_depth, max_depth)`` and ranked by row count."""
+    merged: dict[str, list] = {}
+    for meta in metas:
+        row_lo = part_lo = 0
+        for sid, row_hi, part_hi, max_part, min_d, max_d in meta.names:
+            rows, parts = row_hi - row_lo, part_hi - part_lo
+            entry = merged.setdefault(
+                meta.strings[sid - 1], [0, 0, max_part, min_d, max_d]
+            )
+            entry[0] += rows
+            entry[1] += parts
+            entry[2] = max(entry[2], max_part)
+            entry[3] = min(entry[3], min_d)
+            entry[4] = max(entry[4], max_d)
+            row_lo, part_lo = row_hi, part_hi
     ranked = sorted(merged.items(), key=lambda item: (-item[1][0], item[0]))
     return {
         "path": path,
         "bytes": size,
         "format": revision,
         "segments": segments,
-        "rows": rows,
-        "trees": trees,
+        "rows": sum(meta.n for meta in metas),
+        "trees": sum(len(meta.tid_dir) for meta in metas),
         "distinct_names": len(merged),
         "top_names": [(name, tuple(stats)) for name, stats in ranked[:top]],
     }

@@ -134,13 +134,13 @@ class TestMappedStoreEquivalence:
 class TestMappedEngineSurface:
     """Engine-level seams specific to the mapped path."""
 
-    def test_from_store_mmap_rejects_non_mmap_file(self, tmp_path):
+    def test_from_store_mmap_rejects_non_mmap_file(self):
         from repro.lpath import LPathEngine
 
-        path = tmp_path / "old.lpdb"
-        store.save_corpus([figure1_tree()], str(path))
+        from tests.legacy_stores import legacy_path
+
         with pytest.raises(store.StoreError):
-            LPathEngine.from_store_mmap(str(path))
+            LPathEngine.from_store_mmap(legacy_path("LPDB0002"))
 
     def test_bad_mode_rejected(self, tmp_path):
         from repro.lpath import LPathEngine

@@ -8,9 +8,8 @@ generators), sharding the corpus must be invisible in the results:
   SQLite oracles over the whole corpus;
 * the same holds for the XPath engine on the start/end-expressible
   fragment;
-* a corpus round-tripped through the segmented ``LPDB0003`` store format
-  (and loaded shard-by-shard into a columnar-only ``from_columns``
-  engine) must also agree exactly.
+* the committed segmented ``LPDB0003`` fixture, opened with its on-disk
+  segments, must also agree exactly.
 
 The in-memory and mmap sharded sweeps each run once per kernel backend
 (``REPRO_KERNELS=python`` and ``=native``) so the native hot loops are
@@ -21,7 +20,6 @@ example budget like the main differential-fuzz harness.
 
 from __future__ import annotations
 
-import io
 import os
 from contextlib import contextmanager
 
@@ -34,6 +32,7 @@ from repro.columnar.kernels import KERNELS_ENV, native_kernels
 from repro.labeling import label_corpus
 from repro.lpath import LPathEngine
 from repro.xpath import XPATH_AXES, XPathEngine
+from tests.legacy_stores import legacy_path, legacy_trees
 from tests.strategies import corpora, lpath_queries, xpath_queries
 
 FUZZ_EXAMPLES = max(5, int(os.environ.get("REPRO_FUZZ_EXAMPLES", "25")) // 3)
@@ -90,18 +89,17 @@ class TestLPathSegmentEquivalence:
                         f"{got} != {expected}"
                     )
 
+    @pytest.fixture(scope="class")
+    def lpdb0003_engines(self):
+        engine = LPathEngine.open(legacy_path("LPDB0003"), workers=2)
+        yield engine, LPathEngine(legacy_trees())
+        engine.close()
+
     @given(data=st.data())
     @settings(max_examples=FUZZ_EXAMPLES, deadline=None)
-    def test_lpdb0003_round_trip_matches_monolithic(self, data):
-        trees = data.draw(corpora(max_trees=4, max_depth=4), label="corpus")
-        monolithic = LPathEngine(trees)
-        rows = list(label_corpus(trees))
-        buffer = io.BytesIO()
-        store.save_labels(rows, buffer, segments=3)
-        buffer.seek(0)
-        engine = LPathEngine.from_columns(
-            store.load_segment_columns(buffer), workers=2
-        )
+    def test_lpdb0003_fixture_matches_monolithic(self, data, lpdb0003_engines):
+        engine, monolithic = lpdb0003_engines
+        assert engine.segments == 2
         for index in range(QUERIES_PER_EXAMPLE):
             query = data.draw(lpath_queries(), label=f"query {index}")
             assert engine.query(query) == monolithic.query(

@@ -349,15 +349,14 @@ class TestXPathDialect:
                 service.execute({"query": "//NP"})  # lpath against xpath
             assert failure.value.status == 400
 
-    def test_pre_mmap_store_refuses_xpath_dialect(self, trees, tmp_path):
+    def test_pre_mmap_store_refuses_xpath_dialect(self):
         # Only the zero-copy LPDB0004 layout can back the xpath engine's
         # mmap path; an older-revision store gets a clean refusal.
         from repro.lpath.errors import LPathError
+        from tests.legacy_stores import legacy_path
 
-        path = str(tmp_path / "old.lpdb")
-        store.save_corpus(trees, path, segments=2, format="lpdb0003")
         with pytest.raises(LPathError) as failure:
-            QueryService(StoreSpec(path, dialect="xpath"))
+            QueryService(StoreSpec(legacy_path("LPDB0003"), dialect="xpath"))
         assert "LPDB0004" in str(failure.value)
 
 

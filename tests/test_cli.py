@@ -5,6 +5,7 @@ import io
 import pytest
 
 from repro.cli import main
+from tests.legacy_stores import LEGACY_SEGMENTS, legacy_path, legacy_trees
 
 
 def run(argv):
@@ -65,16 +66,25 @@ class TestQuery:
             assert code == 0, engine
             assert compiled == expected, engine
 
-    def test_older_formats_still_read(self, corpus_file, tmp_path):
-        code, expected = run(["query", corpus_file, "//S//NP", "--count"])
+    def test_older_formats_still_read(self):
+        from repro.lpath import LPathEngine
+
+        oracle = LPathEngine(legacy_trees())
+        for revision in LEGACY_SEGMENTS:
+            for query in ("//NP", "//V->NP", "//VP{//NP$}"):
+                expected = len(oracle.query(query, backend="treewalk"))
+                for engine in ("lpath", "sqlite"):
+                    code, output = run(["query", legacy_path(revision),
+                                        query, "--count",
+                                        "--engine", engine])
+                    assert code == 0, (revision, engine)
+                    assert int(output) == expected, (revision, query)
+
+    def test_older_formats_are_not_written(self, corpus_file, tmp_path):
         for revision in ("lpdb0002", "lpdb0003"):
-            lpdb = str(tmp_path / f"{revision}.lpdb")
-            code, _ = run(["compile", corpus_file, "-o", lpdb,
-                           "--format", revision])
-            assert code == 0, revision
-            code, output = run(["query", lpdb, "//S//NP", "--count"])
-            assert code == 0, revision
-            assert output == expected, revision
+            with pytest.raises(SystemExit):
+                run(["compile", corpus_file, "-o", str(tmp_path / "x"),
+                     "--format", revision])
 
     def test_xpath_engine_matches_lpath(self, corpus_file):
         code, lpath = run(["query", corpus_file, "//NP/NN", "--count"])
@@ -107,9 +117,10 @@ class TestQuery:
         assert "in 4 segments" in output
         code, expected = run(["query", corpus_file, "//S//NP", "--count"])
         assert code == 0
-        # The segmented file serves sequential and pooled queries, and an
-        # explicit --segments re-deals the on-disk shards.
-        for extra in ([], ["--workers", "2"], ["--mmap"],
+        # The segmented file serves sequential, thread- and process-pooled
+        # queries, and an explicit --segments re-deals the on-disk shards.
+        for extra in ([], ["--workers", "2"],
+                      ["--workers", "2", "--mode", "process"],
                       ["--segments", "4"], ["--segments", "2"],
                       ["--segments", "1"]):
             code, output = run(["query", lpdb, "//S//NP", "--count"] + extra)
@@ -226,7 +237,10 @@ class TestQuery:
         assert code == 2
 
 
-class TestMmapQuery:
+class TestCompiledQuery:
+    """Every compiled corpus opens one way (``LPathEngine.open``):
+    LPDB0004 files are adopted zero-copy with no flag."""
+
     @pytest.fixture()
     def mmap_file(self, corpus_file, tmp_path):
         lpdb = str(tmp_path / "corpus4.lpdb")
@@ -236,47 +250,52 @@ class TestMmapQuery:
         assert "[LPDB0004]" in output
         return lpdb
 
-    def test_mmap_matches_eager_engine(self, corpus_file, mmap_file):
+    def test_matches_tree_engine(self, corpus_file, mmap_file):
         code, eager = run(["query", corpus_file, "//S//NP", "--count"])
         assert code == 0
-        code, mapped = run(["query", mmap_file, "//S//NP", "--count",
-                            "--mmap"])
+        code, mapped = run(["query", mmap_file, "//S//NP", "--count"])
         assert code == 0
         assert mapped == eager
 
-    def test_mmap_process_mode(self, mmap_file):
-        code, sequential = run(["query", mmap_file, "//NP", "--count",
-                                "--mmap"])
+    def test_process_mode_needs_no_flag(self, mmap_file):
+        # Process workers re-open the file by path, so this only works
+        # when the default open adopted the LPDB0004 file zero-copy.
+        code, sequential = run(["query", mmap_file, "//NP", "--count"])
         assert code == 0
-        code, fanned = run(["query", mmap_file, "//NP", "--count", "--mmap",
+        code, fanned = run(["query", mmap_file, "//NP", "--count",
                             "--workers", "2", "--mode", "process"])
         assert code == 0
         assert fanned == sequential
 
-    def test_mmap_requires_compiled_corpus(self, corpus_file):
-        code, _ = run(["query", corpus_file, "//NP", "--count", "--mmap"])
-        assert code == 1
+    def test_mmap_flag_is_gone(self, mmap_file):
+        with pytest.raises(SystemExit):
+            run(["query", mmap_file, "//NP", "--count", "--mmap"])
 
-    def test_mmap_rejects_old_revision(self, corpus_file, tmp_path):
-        lpdb = str(tmp_path / "old.lpdb")
-        code, _ = run(["compile", corpus_file, "-o", lpdb,
-                       "--format", "lpdb0002"])
-        assert code == 0
-        code, _ = run(["query", lpdb, "//NP", "--count", "--mmap"])
+    def test_process_mode_rejects_legacy_file(self, capsys):
+        code, _ = run(["query", legacy_path("LPDB0003"), "//NP", "--count",
+                       "--workers", "2", "--mode", "process"])
         assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: --mode requires a compiled LPDB0004")
+        assert err.count("\n") == 1
 
-    def test_mode_requires_mmap(self, corpus_file):
+    def test_mode_requires_compiled_corpus(self, corpus_file):
         code, _ = run(["query", corpus_file, "//NP", "--count",
                        "--mode", "process"])
         assert code == 1
 
-    def test_mmap_rejects_resharding(self, mmap_file):
-        code, _ = run(["query", mmap_file, "//NP", "--count", "--mmap",
-                       "--segments", "4"])
+    def test_resharding_decodes_and_rejects_mode(self, mmap_file):
+        code, expected = run(["query", mmap_file, "//NP", "--count"])
+        code, redealt = run(["query", mmap_file, "//NP", "--count",
+                             "--segments", "4"])
+        assert code == 0
+        assert redealt == expected
+        code, _ = run(["query", mmap_file, "//NP", "--count",
+                       "--mode", "thread", "--segments", "4"])
         assert code == 1
 
-    def test_mmap_serves_the_sqlite_oracle(self, mmap_file):
-        code, plan = run(["query", mmap_file, "//NP", "--count", "--mmap"])
+    def test_serves_the_sqlite_oracle(self, mmap_file):
+        code, plan = run(["query", mmap_file, "//NP", "--count"])
         assert code == 0
         code, oracle = run(["query", mmap_file, "//NP", "--count",
                             "--engine", "sqlite"])
@@ -296,17 +315,57 @@ class TestStoreInfo:
         assert "trees: 50" in output
         assert "top 3 names by rows:" in output
 
-    def test_legacy_info(self, corpus_file, tmp_path):
-        lpdb = str(tmp_path / "corpus.lpdb")
-        run(["compile", corpus_file, "-o", lpdb, "--format", "lpdb0002"])
-        code, output = run(["store", "info", lpdb])
-        assert code == 0
-        assert "format: LPDB0002" in output
-        assert "segments: 1" in output
+    def test_legacy_info(self):
+        for revision, segments in LEGACY_SEGMENTS.items():
+            code, output = run(["store", "info", legacy_path(revision)])
+            assert code == 0
+            assert f"format: {revision}" in output
+            assert f"segments: {segments}" in output
+            assert "trees: 3" in output
 
     def test_non_store_file_reported(self, corpus_file):
         code, _ = run(["store", "info", corpus_file])
         assert code == 1
+
+
+class TestStoreUpgrade:
+    @pytest.mark.parametrize("revision", sorted(LEGACY_SEGMENTS))
+    def test_upgrade_fixture(self, revision, tmp_path):
+        old = legacy_path(revision)
+        new = str(tmp_path / "up.lpdb")
+        code, output = run(["store", "upgrade", old, "-o", new])
+        assert code == 0
+        assert f"[{revision}]" in output and "[LPDB0004]" in output
+        code, info = run(["store", "info", new])
+        assert code == 0
+        assert "format: LPDB0004" in info
+        assert f"segments: {LEGACY_SEGMENTS[revision]}" in info
+        for query in ("//NP", "//V->NP", "//VP{//NP$}"):
+            code, before = run(["query", old, query, "--count"])
+            code, after = run(["query", new, query, "--count",
+                               "--workers", "2", "--mode", "process"])
+            assert code == 0
+            assert after == before, query
+
+    def test_upgrade_rejects_live_directory(self, corpus_file, tmp_path,
+                                            capsys):
+        live_dir = str(tmp_path / "live")
+        code, _ = run(["compile", corpus_file, "-o", live_dir,
+                       "--format", "lpdb0005"])
+        assert code == 0
+        code, _ = run(["store", "upgrade", live_dir, "-o",
+                       str(tmp_path / "up.lpdb")])
+        assert code == 1
+        assert "live" in capsys.readouterr().err
+
+    def test_upgrade_needs_output(self):
+        with pytest.raises(SystemExit):
+            run(["store", "upgrade", legacy_path("LPDB0002")])
+
+    def test_upgrade_missing_input(self, tmp_path):
+        code, _ = run(["store", "upgrade", str(tmp_path / "gone.lpdb"),
+                       "-o", str(tmp_path / "up.lpdb")])
+        assert code == 2
 
 
 class TestSQL:
@@ -346,8 +405,7 @@ class TestServeCLI:
             yield server.url
 
     def test_query_url_matches_local_engine(self, store_file, daemon_url):
-        code, local = run(["query", store_file, "//S//NP", "--count",
-                           "--mmap"])
+        code, local = run(["query", store_file, "//S//NP", "--count"])
         assert code == 0
         code, remote = run(["query", "//S//NP", "--url", daemon_url,
                             "--count"])
@@ -370,9 +428,9 @@ class TestServeCLI:
         assert "corpus lives on the server" in capsys.readouterr().err
 
     def test_query_url_rejects_local_engine_flags(self, daemon_url, capsys):
-        for flags in (["--mmap"], ["--segments", "2"], ["--workers", "2"],
-                      ["--kernels", "python"], ["--explain"],
-                      ["--cache-stats"]):
+        for flags in (["--mode", "thread"], ["--segments", "2"],
+                      ["--workers", "2"], ["--kernels", "python"],
+                      ["--explain"], ["--cache-stats"]):
             code, _ = run(["query", "//NP", "--url", daemon_url] + flags)
             assert code == 1
             assert "--url" in capsys.readouterr().err
@@ -528,7 +586,9 @@ class TestKernelAndSegmentConfigErrors:
         code, _ = run(["query", corpus_file, "//NP", "--count",
                        "--mode", "process"])
         assert code == 1
-        assert "--mode requires --mmap" in capsys.readouterr().err
+        assert "--mode requires a compiled LPDB0004 corpus" in (
+            capsys.readouterr().err
+        )
 
     def test_invalid_kernels_env_at_daemon_is_4xx(self, corpus_file,
                                                   tmp_path, monkeypatch):

@@ -59,6 +59,17 @@ class TestCreateAndOpen:
         finally:
             engine.close()
 
+    def test_rejected_segment_count_leaves_no_directory(self, tmp_path):
+        # A bad segment count is refused before anything touches disk, so
+        # the corrected retry is not blocked by a half-made directory.
+        path = str(tmp_path / "z5")
+        trees = list(iter_trees(TEXT * 2))
+        with pytest.raises(StoreError, match="segment count"):
+            store.save_corpus(trees, path, format="lpdb0005", segments=0)
+        assert not os.path.exists(path)
+        store.save_corpus(trees, path, format="lpdb0005", segments=2)
+        assert store.corpus_info(path)["rows"] == len(rows_for(TEXT * 2))
+
     def test_refuses_foreign_directory(self, tmp_path):
         (tmp_path / "keep.txt").write_text("not yours")
         with pytest.raises(StoreError, match="non-empty directory"):
@@ -430,6 +441,17 @@ class TestStoreInfoSurface:
         assert info["wal_records"] == 1
         assert info["rows"] == info["base_rows"] + info["delta_rows"]
         assert info["last_recovery"] is None
+
+    def test_delta_statistics_match_a_compiled_file(self, corpus_dir,
+                                                     tmp_path):
+        with LiveCorpus(corpus_dir) as corpus:
+            corpus.append_trees(MORE * 2)
+        mono = str(tmp_path / "mono.lpdb")
+        store.save_corpus(iter_trees(TEXT * 3 + MORE * 2), mono)
+        live_info = store.corpus_info(corpus_dir, top=20)
+        mono_info = store.corpus_info(mono, top=20)
+        for key in ("rows", "trees", "distinct_names", "top_names"):
+            assert live_info[key] == mono_info[key], key
 
     def test_segment_count_includes_delta(self, corpus_dir):
         base = store.corpus_segment_count(corpus_dir)

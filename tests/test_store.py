@@ -10,6 +10,12 @@ from repro import store
 from repro.labeling import label_corpus
 from repro.lpath import LPathEngine, LPathError
 from repro.tree import figure1_tree
+from tests.legacy_stores import (
+    LEGACY_SEGMENTS,
+    legacy_bytes,
+    legacy_path,
+    legacy_trees,
+)
 from tests.strategies import corpora
 
 
@@ -20,22 +26,16 @@ def round_trip(rows):
     return store.load_labels(buffer)
 
 
-def saved_bytes(rows, checksum=True) -> bytes:
-    buffer = io.BytesIO()
-    store.save_labels(rows, buffer, checksum=checksum)
-    return buffer.getvalue()
-
-
 class TestFormat:
     def test_round_trip_figure1(self):
         rows = list(label_corpus([figure1_tree()]))
-        assert round_trip(rows) == rows
+        assert sorted(round_trip(rows)) == sorted(rows)
 
     @given(corpora(max_trees=3, max_depth=4))
     @settings(max_examples=30, deadline=None)
     def test_round_trip_random(self, trees):
         rows = list(label_corpus(trees))
-        assert round_trip(rows) == rows
+        assert sorted(round_trip(rows)) == sorted(rows)
 
     def test_empty_corpus(self):
         assert round_trip([]) == []
@@ -59,120 +59,152 @@ class TestFormat:
         with pytest.raises(store.StoreError):
             store.load_labels(io.BytesIO(buffer.getvalue() + b"\x00"))
 
-    def test_interning_compresses(self):
+    def test_row_payload_interning_compresses(self):
+        # The row payload the live WAL frames carry interns names/values.
         trees = [figure1_tree(tid=i) for i in range(20)]
         rows = list(label_corpus(trees))
-        buffer = io.BytesIO()
-        store.save_labels(rows, buffer)
+        blob, count = store._encode_payload(rows)
+        assert count == len(rows)
         # Far smaller than a naive text dump of the rows.
-        assert len(buffer.getvalue()) < len(repr(rows)) / 4
+        assert len(blob) < len(repr(rows)) / 4
 
     def test_file_helpers(self, tmp_path):
         path = tmp_path / "corpus.lpdb"
         count = store.save_corpus([figure1_tree()], str(path))
         assert count == 25
         assert store.is_compiled_corpus(str(path))
+        assert store.corpus_format(str(path)) == "LPDB0004"
         assert not store.is_compiled_corpus(str(tmp_path / "missing"))
         rows = store.load_corpus_labels(str(path))
         assert len(rows) == 25
 
 
-class TestColumnarLoader:
-    """The direct-to-columns loader must agree with the row loader."""
+#: Queries every legacy-fixture path must answer like the tree walker.
+FIXTURE_QUERIES = (
+    "//NP", "//V->NP", "//VP{//NP$}", "//S[//_[@lex=saw]]", "//NP$",
+    "//V=>NP",
+)
 
-    def test_columns_match_rows_figure1(self):
-        rows = list(label_corpus([figure1_tree()]))
-        data = saved_bytes(rows)
-        columns = store.load_label_columns(io.BytesIO(data))
-        assert len(columns) == len(rows)
-        for index, row in enumerate(rows):
-            assert (
-                columns.tid[index], columns.left[index], columns.right[index],
-                columns.depth[index], columns.id[index], columns.pid[index],
-                columns.names[index], columns.values[index],
-            ) == tuple(row)
 
-    @given(corpora(max_trees=3, max_depth=4))
-    @settings(max_examples=20, deadline=None)
-    def test_columns_match_rows_random(self, trees):
-        rows = list(label_corpus(trees))
-        data = saved_bytes(rows)
-        columns = store.load_label_columns(io.BytesIO(data))
-        assert columns.names == [row.name for row in rows]
-        assert list(columns.left) == [row.left for row in rows]
-        assert columns.values == [row.value for row in rows]
+@pytest.mark.parametrize("revision", sorted(LEGACY_SEGMENTS))
+class TestLegacyFixtures:
+    """The committed LPDB0001-0003 files: every reader, the info and
+    fingerprint surfaces and ``upgrade_corpus`` agree with the tree-walk
+    oracle over the corpus the fixtures were written from."""
 
-    def test_reads_legacy_format(self):
-        rows = list(label_corpus([figure1_tree()]))
-        data = saved_bytes(rows, checksum=False)
-        assert data.startswith(store.LEGACY_MAGIC)
-        assert store.load_labels(io.BytesIO(data)) == rows
-        assert store.load_label_columns(io.BytesIO(data)).names == [
-            row.name for row in rows
-        ]
+    @pytest.fixture(scope="class")
+    def oracle(self):
+        return LPathEngine(legacy_trees())
 
-    def test_file_helper(self, tmp_path):
-        path = tmp_path / "corpus.lpdb"
-        store.save_corpus([figure1_tree()], str(path))
-        columns = store.load_corpus_columns(str(path))
-        assert len(columns) == 25
+    def test_magic_and_rows(self, revision):
+        path = legacy_path(revision)
+        assert store.corpus_format(path) == revision
+        assert store.is_compiled_corpus(path)
+        assert store.corpus_segment_count(path) == LEGACY_SEGMENTS[revision]
+        expected = sorted(label_corpus(legacy_trees()))
+        assert sorted(store.load_corpus_labels(path)) == expected
+
+    def test_open_matches_treewalk(self, revision, oracle):
+        with LPathEngine.open(legacy_path(revision), workers=2) as engine:
+            assert engine.segments == LEGACY_SEGMENTS[revision]
+            for query in FIXTURE_QUERIES:
+                expected = oracle.query(query, backend="treewalk")
+                assert engine.query(query) == expected, query
+                assert engine.query(query, backend="sqlite") == expected, query
+
+    def test_process_mode_needs_lpdb0004(self, revision):
+        with pytest.raises(LPathError, match="store upgrade"):
+            LPathEngine.open(legacy_path(revision), workers=2,
+                             mode="process")
+
+    def test_upgrade_keeps_rows_segments_and_answers(self, revision,
+                                                     oracle, tmp_path):
+        path = legacy_path(revision)
+        upgraded = str(tmp_path / "upgraded.lpdb")
+        assert store.upgrade_corpus(path, upgraded) == 75
+        assert store.corpus_format(upgraded) == "LPDB0004"
+        assert store.corpus_segment_count(upgraded) == (
+            LEGACY_SEGMENTS[revision]
+        )
+        assert sorted(store.load_corpus_labels(upgraded)) == sorted(
+            store.load_corpus_labels(path)
+        )
+        with LPathEngine.open(upgraded) as engine:
+            assert engine._mapped is not None  # adopted zero-copy
+            for query in FIXTURE_QUERIES:
+                assert engine.query(query) == oracle.query(
+                    query, backend="treewalk"
+                ), query
+
+    def test_info_matches_the_upgraded_file(self, revision, tmp_path):
+        path = legacy_path(revision)
+        upgraded = str(tmp_path / "upgraded.lpdb")
+        store.upgrade_corpus(path, upgraded)
+        legacy_info = store.corpus_info(path, top=50)
+        info = store.corpus_info(upgraded, top=50)
+        assert legacy_info["format"] == revision
+        assert legacy_info["segments"] == LEGACY_SEGMENTS[revision]
+        assert legacy_info["rows"] == 75
+        assert legacy_info["trees"] == 3
+        for key in ("segments", "rows", "trees", "distinct_names",
+                    "top_names"):
+            assert legacy_info[key] == info[key], key
+
+    def test_fingerprint_names_the_revision(self, revision, tmp_path):
+        path = legacy_path(revision)
+        fingerprint = store.store_fingerprint(path)
+        assert fingerprint.startswith(f"{revision.lower()}-")
+        copy = tmp_path / "copy.lpdb"
+        copy.write_bytes(legacy_bytes(revision))
+        assert store.store_fingerprint(str(copy)) == fingerprint
+
+
+class TestUpgrade:
+    def test_in_place_upgrade(self, tmp_path):
+        path = tmp_path / "old.lpdb"
+        path.write_bytes(legacy_bytes("LPDB0003"))
+        store.upgrade_corpus(str(path), str(path))
+        assert store.corpus_format(str(path)) == "LPDB0004"
+        assert store.corpus_segment_count(str(path)) == 2
+
+    def test_rejects_live_directories(self, tmp_path):
+        live_dir = str(tmp_path / "live")
+        store.save_corpus([figure1_tree()], live_dir, format="lpdb0005")
+        with pytest.raises(store.StoreError, match="live"):
+            store.upgrade_corpus(live_dir, str(tmp_path / "out.lpdb"))
+        assert not (tmp_path / "out.lpdb").exists()
+
+    def test_corrupt_input_writes_nothing(self, tmp_path):
+        broken = tmp_path / "broken.lpdb"
+        broken.write_bytes(legacy_bytes("LPDB0002")[:-5])
+        with pytest.raises(store.StoreError):
+            store.upgrade_corpus(str(broken), str(tmp_path / "out.lpdb"))
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["broken.lpdb"]
 
 
 class TestSegmentedFormat:
-    """The LPDB0003 manifest + per-segment block layout."""
+    """The LPDB0003 manifest + per-segment block layout (read-only; the
+    committed fixture holds tids {0, 2} and {1}), and the tid deal every
+    segmented writer uses."""
+
+    @pytest.fixture(scope="class")
+    def blob(self):
+        return legacy_bytes("LPDB0003")
 
     def trees(self, count=5):
         return [figure1_tree(tid=tid) for tid in range(count)]
 
-    def test_round_trip_concatenates_shards(self):
-        rows = list(label_corpus(self.trees()))
-        buffer = io.BytesIO()
-        count = store.save_labels(rows, buffer, segments=3)
-        assert count == len(rows)
-        data = buffer.getvalue()
-        assert data.startswith(store.SEGMENTED_MAGIC)
+    def test_load_concatenates_shards(self, blob):
+        assert blob.startswith(store.SEGMENTED_MAGIC)
+        rows = store.load_labels(io.BytesIO(blob))
         # Same multiset of rows; shard-major order.
-        assert sorted(store.load_labels(io.BytesIO(data))) == sorted(rows)
+        assert sorted(rows) == sorted(label_corpus(legacy_trees()))
+        tids = [row.tid for row in rows]
+        assert set(tids[:50]) == {0, 2} and set(tids[50:]) == {1}
 
-    def test_segment_columns_partition_by_tid(self):
-        rows = list(label_corpus(self.trees()))
-        buffer = io.BytesIO()
-        store.save_labels(rows, buffer, segments=3)
-        shards = store.load_segment_columns(io.BytesIO(buffer.getvalue()))
-        assert len(shards) == 3
-        tid_sets = [set(shard.tid) for shard in shards]
-        # Disjoint shards covering every tree (round-robin over sorted tids).
-        assert tid_sets == [{0, 3}, {1, 4}, {2}]
-        assert sum(len(shard) for shard in shards) == len(rows)
-
-    def test_single_store_formats_load_as_one_segment(self):
-        rows = list(label_corpus([figure1_tree()]))
-        for checksum in (True, False):
-            shards = store.load_segment_columns(
-                io.BytesIO(saved_bytes(rows, checksum=checksum))
-            )
-            assert len(shards) == 1
-            assert shards[0].names == [row.name for row in rows]
-
-    def test_merged_column_loader_reads_segmented_files(self):
-        rows = list(label_corpus(self.trees()))
-        buffer = io.BytesIO()
-        store.save_labels(rows, buffer, segments=4)
-        columns = store.load_label_columns(io.BytesIO(buffer.getvalue()))
-        assert len(columns) == len(rows)
-        assert sorted(columns.tid) == sorted(row.tid for row in rows)
-
-    def test_empty_segments_allowed(self):
-        rows = list(label_corpus([figure1_tree()]))
-        buffer = io.BytesIO()
-        store.save_labels(rows, buffer, segments=3)
-        shards = store.load_segment_columns(io.BytesIO(buffer.getvalue()))
-        assert [len(shard) for shard in shards] == [len(rows), 0, 0]
-
-    def test_legacy_layout_has_no_segmented_variant(self):
-        rows = list(label_corpus(self.trees()))
-        with pytest.raises(store.StoreError):
-            store.save_labels(rows, io.BytesIO(), checksum=False, segments=2)
+    def test_single_store_formats_are_one_segment(self):
+        for revision in ("LPDB0001", "LPDB0002"):
+            assert store.corpus_segment_count(legacy_path(revision)) == 1
 
     def test_partition_rows_deterministic_and_whole_trees(self):
         rows = list(label_corpus(self.trees(7)))
@@ -187,43 +219,22 @@ class TestSegmentedFormat:
         assert seen == set(range(7))
 
     def test_partition_rejects_bad_counts(self):
-        for partition in (store.partition_rows_by_tid, store.partition_columns):
-            with pytest.raises(store.StoreError):
-                partition([] if partition is store.partition_rows_by_tid
-                          else store.LabelColumns(), 0)
+        with pytest.raises(store.StoreError):
+            store.partition_rows_by_tid([], 0)
 
-    def test_truncation_and_bit_flips_detected(self):
-        rows = list(label_corpus(self.trees()))
-        buffer = io.BytesIO()
-        store.save_labels(rows, buffer, segments=3)
-        blob = buffer.getvalue()
+    def test_truncation_and_bit_flips_detected(self, blob):
         for cut in range(0, len(blob), 7):
             with pytest.raises(store.StoreError):
-                store.load_segment_columns(io.BytesIO(blob[:cut]))
+                store.load_labels(io.BytesIO(blob[:cut]))
         for position in range(0, len(blob), 11):
             corrupt = bytearray(blob)
             corrupt[position] ^= 0x10
             with pytest.raises(store.StoreError):
-                store.load_segment_columns(io.BytesIO(bytes(corrupt)))
+                store.load_labels(io.BytesIO(bytes(corrupt)))
 
-    def test_trailing_garbage_detected(self):
-        rows = list(label_corpus(self.trees()))
-        buffer = io.BytesIO()
-        store.save_labels(rows, buffer, segments=2)
+    def test_trailing_garbage_detected(self, blob):
         with pytest.raises(store.StoreError):
-            store.load_segment_columns(io.BytesIO(buffer.getvalue() + b"\x00"))
-
-    def test_file_helpers_and_sniffing(self, tmp_path):
-        path = tmp_path / "corpus.lpdb"
-        store.save_corpus(self.trees(), str(path), segments=3)
-        assert store.is_compiled_corpus(str(path))
-        assert store.corpus_segment_count(str(path)) == 3
-        shards = store.load_corpus_segments(str(path))
-        assert len(shards) == 3
-        single = tmp_path / "single.lpdb"
-        store.save_corpus(self.trees(), str(single))
-        assert store.corpus_segment_count(str(single)) == 1
-        assert len(store.load_corpus_segments(str(single))) == 1
+            store.load_labels(io.BytesIO(blob + b"\x00"))
 
 
 def mmap_bytes(rows, segments=1) -> bytes:
@@ -265,55 +276,23 @@ class TestMmapFormat:
         # Rows come back in clustered (not insertion) order.
         assert sorted(store.load_labels(io.BytesIO(data))) == sorted(rows)
 
-    def test_segment_columns_partition_by_tid(self):
+    def test_segments_partition_by_tid(self, tmp_path):
         rows = list(label_corpus(self.trees()))
-        shards = store.load_segment_columns(
-            io.BytesIO(mmap_bytes(rows, segments=3))
-        )
-        assert [set(shard.tid) for shard in shards] == [{0, 3}, {1, 4}, {2}]
-        assert sum(len(shard) for shard in shards) == len(rows)
+        path = tmp_path / "corpus.lpdb"
+        path.write_bytes(mmap_bytes(rows, segments=3))
+        with store.open_mapped_corpus(str(path)) as corpus:
+            shards = [set(segment.tid) for segment in corpus.segments]
+            assert sum(segment.n for segment in corpus.segments) == len(rows)
+        assert shards == [{0, 3}, {1, 4}, {2}]
 
-    def test_merged_column_loader(self):
-        rows = list(label_corpus(self.trees()))
-        columns = store.load_label_columns(
-            io.BytesIO(mmap_bytes(rows, segments=4))
-        )
-        assert len(columns) == len(rows)
-        assert sorted(columns.tid) == sorted(row.tid for row in rows)
-
-    def test_empty_corpus_and_empty_segments(self):
+    def test_empty_corpus_and_empty_segments(self, tmp_path):
         assert store.load_labels(io.BytesIO(mmap_bytes([]))) == []
         rows = list(label_corpus([figure1_tree()]))
-        shards = store.load_segment_columns(
-            io.BytesIO(mmap_bytes(rows, segments=3))
-        )
-        assert [len(shard) for shard in shards] == [len(rows), 0, 0]
-
-    def test_resave_round_trips_from_every_older_revision(self, tmp_path):
-        from repro.lpath import LPathEngine
-
-        rows = list(label_corpus(self.trees()))
-        olds = {
-            "LPDB0001": saved_bytes(rows, checksum=False),
-            "LPDB0002": saved_bytes(rows),
-        }
-        seg_buffer = io.BytesIO()
-        store.save_labels(rows, seg_buffer, segments=3)
-        olds["LPDB0003"] = seg_buffer.getvalue()
-        oracle = LPathEngine.from_labels(rows)
-        for revision, blob in olds.items():
-            assert blob.startswith(revision.encode("ascii"))
-            reloaded = store.load_labels(io.BytesIO(blob))
-            path = tmp_path / f"from-{revision}.lpdb"
-            with open(path, "wb") as handle:
-                store.save_labels(reloaded, handle, segments=2,
-                                  format="lpdb0004")
-            assert store.corpus_format(str(path)) == "LPDB0004"
-            with LPathEngine.from_store_mmap(str(path)) as engine:
-                for query in ("//NP", "//V->NP", "//VP{//NP$}"):
-                    assert engine.query(query) == oracle.query(query), (
-                        revision, query,
-                    )
+        path = tmp_path / "corpus.lpdb"
+        path.write_bytes(mmap_bytes(rows, segments=3))
+        with store.open_mapped_corpus(str(path)) as corpus:
+            sizes = [segment.n for segment in corpus.segments]
+        assert sizes == [len(rows), 0, 0]
 
     def test_file_helpers(self, tmp_path):
         path = tmp_path / "corpus.lpdb"
@@ -322,7 +301,6 @@ class TestMmapFormat:
         assert store.is_compiled_corpus(str(path))
         assert store.corpus_format(str(path)) == "LPDB0004"
         assert store.corpus_segment_count(str(path)) == 3
-        assert len(store.load_corpus_segments(str(path))) == 3
 
     def test_info_reads_only_the_sidecar(self, tmp_path):
         path = tmp_path / "corpus.lpdb"
@@ -336,22 +314,18 @@ class TestMmapFormat:
         assert len(info["top_names"]) == 3
         name, stats = info["top_names"][0]
         assert stats[0] >= info["top_names"][1][1][0]
-        # Same numbers as a full legacy scan of the same corpus.
-        legacy = tmp_path / "corpus3.lpdb"
-        store.save_corpus(self.trees(), str(legacy), segments=2)
-        legacy_info = store.corpus_info(str(legacy), top=3)
-        for key in ("rows", "trees", "distinct_names", "top_names"):
-            assert info[key] == legacy_info[key], key
 
-    def test_checksum_false_rejected(self):
-        with pytest.raises(store.StoreError, match="checksum"):
-            store.save_labels([], io.BytesIO(), checksum=False,
-                              format="lpdb0004")
-
-    def test_lpdb0002_format_rejects_segments(self):
-        with pytest.raises(store.StoreError, match="single-store"):
-            store.save_labels([], io.BytesIO(), segments=2,
-                              format="lpdb0002")
+    def test_legacy_formats_are_read_only(self, tmp_path):
+        for revision in ("lpdb0001", "lpdb0002", "lpdb0003"):
+            with pytest.raises(store.StoreError, match="read-only"):
+                store.save_labels([], io.BytesIO(), format=revision)
+            with pytest.raises(store.StoreError, match="read-only"):
+                store.save_corpus([figure1_tree()],
+                                  str(tmp_path / "x.lpdb"), format=revision)
+        assert not (tmp_path / "x.lpdb").exists()
+        with pytest.raises(TypeError):
+            store.save_labels([], io.BytesIO(), checksum=False)
+        assert store.save_labels([], io.BytesIO(), format="LPDB0004") == 0
 
     def test_unknown_format_rejected(self):
         with pytest.raises(store.StoreError, match="unknown store format"):
@@ -367,17 +341,12 @@ class TestMmapCorruption:
         rows = list(label_corpus([figure1_tree(tid=t) for t in range(3)]))
         return mmap_bytes(rows, segments=2)
 
-    def loaders(self):
-        return (store.load_labels, store.load_label_columns,
-                store.load_segment_columns)
-
     def test_every_truncation_detected(self, blob):
         # Includes every cut *mid-column* in the data region: the file
         # size no longer matches the declared region length.
         for cut in range(0, len(blob), 17):
-            for loader in self.loaders():
-                with pytest.raises(store.StoreError):
-                    loader(io.BytesIO(blob[:cut]))
+            with pytest.raises(store.StoreError):
+                store.load_labels(io.BytesIO(blob[:cut]))
 
     def test_mapped_open_detects_truncation(self, blob, tmp_path):
         path = tmp_path / "cut.lpdb"
@@ -484,17 +453,17 @@ class TestMmapCorruption:
 
 
 class TestCorruptionDetection:
-    """Truncation and bit corruption raise StoreError — never garbage."""
+    """Truncation and bit corruption of the committed LPDB0002 fixture
+    raise StoreError — never garbage."""
 
     @pytest.fixture(scope="class")
     def blob(self):
-        return saved_bytes(list(label_corpus([figure1_tree()])))
+        return legacy_bytes("LPDB0002")
 
     def test_every_truncation_detected(self, blob):
         for cut in range(len(blob)):
-            for loader in (store.load_labels, store.load_label_columns):
-                with pytest.raises(store.StoreError):
-                    loader(io.BytesIO(blob[:cut]))
+            with pytest.raises(store.StoreError):
+                store.load_labels(io.BytesIO(blob[:cut]))
 
     @given(data=st.data())
     @settings(max_examples=60, deadline=None)
@@ -503,9 +472,8 @@ class TestCorruptionDetection:
         bit = data.draw(st.integers(0, 7), label="bit")
         corrupt = bytearray(blob)
         corrupt[position] ^= 1 << bit
-        for loader in (store.load_labels, store.load_label_columns):
-            with pytest.raises(store.StoreError):
-                loader(io.BytesIO(bytes(corrupt)))
+        with pytest.raises(store.StoreError):
+            store.load_labels(io.BytesIO(bytes(corrupt)))
 
     def test_trailing_garbage_detected(self, blob):
         with pytest.raises(store.StoreError):
@@ -516,69 +484,6 @@ class TestCorruptionDetection:
         corrupt[-1] ^= 0xFF
         with pytest.raises(store.StoreError, match="mismatch"):
             store.load_labels(io.BytesIO(bytes(corrupt)))
-
-
-class TestEngineFromColumns:
-    def test_columnar_engine_matches_row_engine(self):
-        trees = [figure1_tree()]
-        rows = list(label_corpus(trees))
-        data = saved_bytes(rows)
-        from_trees = LPathEngine(trees)
-        engine = LPathEngine.from_columns(store.load_label_columns(io.BytesIO(data)))
-        for query in ("//NP", "//V->NP", "//VP{//NP$}", "//S[//_[@lex=saw]]", "//NP$"):
-            assert engine.query(query) == from_trees.query(query), query
-
-    def test_sqlite_oracle_loads_from_the_stores(self):
-        rows = list(label_corpus([figure1_tree()]))
-        data = saved_bytes(rows)
-        engine = LPathEngine.from_columns(store.load_label_columns(io.BytesIO(data)))
-        assert engine.query("//NP", backend="sqlite") == engine.query("//NP")
-        with pytest.raises(LPathError):
-            engine.treewalk
-
-    def test_rejects_executor_option(self):
-        rows = list(label_corpus([figure1_tree()]))
-        columns = store.load_label_columns(io.BytesIO(saved_bytes(rows)))
-        with pytest.raises(TypeError):
-            LPathEngine.from_columns(columns, executor="columnar")
-        engine = LPathEngine.from_columns(columns)
-        with pytest.raises(TypeError):
-            engine.query("//NP", executor="columnar")
-
-    def test_rejects_non_bundle_input(self):
-        rows = list(label_corpus([figure1_tree()]))
-        # Label rows are not a column bundle: clear LPathError, not an
-        # AttributeError from deep inside ColumnStore construction.
-        with pytest.raises(LPathError, match="column bundle"):
-            LPathEngine.from_columns(rows[0])
-        with pytest.raises(LPathError, match="column bundle"):
-            LPathEngine.from_columns(rows)
-        with pytest.raises(LPathError, match="at least one"):
-            LPathEngine.from_columns([])
-
-    def test_rejects_ragged_bundle(self):
-        rows = list(label_corpus([figure1_tree()]))
-        columns = store.load_label_columns(io.BytesIO(saved_bytes(rows)))
-        columns.names.append("EXTRA")
-        with pytest.raises(LPathError, match="ragged"):
-            LPathEngine.from_columns(columns)
-
-    def test_segment_list_and_reshard(self):
-        trees = [figure1_tree(tid=tid) for tid in range(4)]
-        rows = list(label_corpus(trees))
-        expected = LPathEngine(trees).query("//NP")
-        buffer = io.BytesIO()
-        store.save_labels(rows, buffer, segments=3)
-        shards = store.load_segment_columns(io.BytesIO(buffer.getvalue()))
-        sharded = LPathEngine.from_columns(shards, workers=2)
-        assert sharded.segments == 3
-        assert sharded.query("//NP") == expected
-        columns = store.load_label_columns(io.BytesIO(saved_bytes(rows)))
-        resharded = LPathEngine.from_columns(columns, segments=2)
-        assert resharded.segments == 2
-        assert resharded.query("//NP") == expected
-        with pytest.raises(LPathError, match="conflicts"):
-            LPathEngine.from_columns(shards, segments=2)
 
 
 class TestEngineFromLabels:
@@ -602,6 +507,14 @@ class TestEngineFromLabels:
             engine.nodes("//NP")
         with pytest.raises(LPathError):
             engine.treewalk
+
+    def test_rejects_executor_option(self):
+        rows = list(label_corpus([figure1_tree()]))
+        with pytest.raises(TypeError):
+            LPathEngine.from_labels(rows, executor="columnar")
+        engine = LPathEngine.from_labels(rows)
+        with pytest.raises(TypeError):
+            engine.query("//NP", executor="columnar")
 
     def test_root_alignment_still_works(self):
         """from_labels must reconstruct the root_right map for `$`."""
@@ -640,9 +553,9 @@ class TestStoreFingerprint:
     result cache: equal for byte-identical copies, different whenever
     the bytes that back query answers change."""
 
-    def _store(self, path, count=6, format="lpdb0004", segments=2):
+    def _store(self, path, count=6, segments=2):
         trees = [figure1_tree(tid=tid) for tid in range(count)]
-        store.save_corpus(trees, str(path), segments=segments, format=format)
+        store.save_corpus(trees, str(path), segments=segments)
         return str(path)
 
     def test_shape_names_the_revision(self, tmp_path):
@@ -685,10 +598,8 @@ class TestStoreFingerprint:
         edited.write_bytes(bytes(raw))
         assert store.store_fingerprint(str(edited)) != original
 
-    def test_older_revisions_fingerprint_too(self, tmp_path):
-        fingerprint = store.store_fingerprint(
-            self._store(tmp_path / "old.lpdb", format="lpdb0003")
-        )
+    def test_older_revisions_fingerprint_too(self):
+        fingerprint = store.store_fingerprint(legacy_path("LPDB0003"))
         assert fingerprint.startswith("lpdb0003-")
 
     def test_non_store_file_raises(self, tmp_path):
