@@ -700,7 +700,8 @@ def _command_compact(args: argparse.Namespace, out: TextIO) -> int:
 
     try:
         with LiveCorpus(args.store) as corpus:
-            result = corpus.compact(segments=args.segments or 1)
+            segments = 1 if args.segments is None else args.segments
+            result = corpus.compact(segments=segments)
     except StoreError as error:
         print(f"compact: {error}", file=sys.stderr)
         return 1

@@ -50,6 +50,7 @@ from typing import Callable, Iterable, Iterator, Optional, Sequence
 from ..lpath.axes import Axis
 from ..lpath.errors import LPathCompileError
 from ..plan.ir import (
+    Aggregate,
     AllPred,
     AnyPred,
     BoolConst,
@@ -65,6 +66,7 @@ from ..plan.ir import (
     IsAttr,
     IsElement,
     Join,
+    Limit,
     NotPred,
     PlanNode,
     PositionPred,
@@ -80,7 +82,7 @@ from ..plan.ir import (
     COLUMN_NAMES as IR_COLUMN_NAMES,
     I, L, N, P, R, T, V,
 )
-from ..plan.lower import as_float, numeric_compare
+from ..plan.lower import as_float, check_executor, numeric_compare
 from .store import ColumnStore
 
 from array import array
@@ -103,7 +105,8 @@ _FLIPPED = {
 
 
 class ColumnarRuntime:
-    """One engine's columnar physical context."""
+    """One segment's columnar physical context: its store, the label
+    scheme, and the physical compile of optimized plans against them."""
 
     def __init__(self, store: ColumnStore, scheme) -> None:
         self.store = store
@@ -114,6 +117,23 @@ class ColumnarRuntime:
         self.string_value = _make_string_value(
             store, scheme.element_string_values
         )
+
+    def compile_physical(
+        self, root: PlanNode, lowered=None, executor: str = "columnar"
+    ) -> "ColumnarPlan":
+        """Compile an optimized logical plan against this store.
+
+        ``root, lowered`` is the pair
+        :func:`~repro.plan.lower.lower_and_optimize` returns; only the IR
+        in ``root`` drives the physical compile.  ``executor`` must name
+        the one physical executor, ``"columnar"``.  A ``Limit``/
+        ``Aggregate`` wrapper is peeled off — the physical pipeline ends
+        at Distinct/Project, and the compiled query applies the
+        wrapper."""
+        check_executor(executor)
+        if isinstance(root, (Limit, Aggregate)):
+            root = root.input
+        return compile_plan(root, self)
 
 
 def _make_string_value(
@@ -350,6 +370,10 @@ class ColumnarPlan:
         if kind == "distinct":
             return list(set(rows))
         return list(rows)
+
+    def rows(self) -> list[tuple]:
+        """Every result key, sorted."""
+        return sorted(self.execute())
 
     def count_rows(self) -> int:
         """The result cardinality without materializing a result list.

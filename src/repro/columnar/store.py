@@ -390,7 +390,7 @@ class ColumnStore:
         return len(self.tid_bounds)
 
     def size(self) -> int:
-        """Total rows (the catalog-protocol spelling of ``len``)."""
+        """Total rows (the statistics-protocol spelling of ``len``)."""
         return self.n
 
     def name_stats(self, name: Optional[str]) -> NameStats:

@@ -670,6 +670,10 @@ class LiveCorpus:
         WAL at cut-over.  Every durability barrier is a crash point —
         a kill anywhere leaves either the old complete generation or the
         new one."""
+        if segments < 1:
+            # Checked before any file exists: a shard-count error raised
+            # by the writer would leave the new segment file behind.
+            raise StoreError(f"segment count must be >= 1, got {segments}")
         started = time.monotonic()
         with self._lock:
             self._ensure_writable()
@@ -910,8 +914,8 @@ def _build_live_engine(
     objects (the manager reuses them across engine swaps); missing
     entries are opened and added."""
     from .columnar.store import ColumnStore, MappedColumnStore
-    from .lpath.compiler import PlanCompiler
     from .lpath.engine import LPathEngine
+    from .plan.compiler import PlanCompiler
 
     stores = []
     kinds = []
@@ -928,10 +932,8 @@ def _build_live_engine(
         kinds.append("delta")
     engine = LPathEngine.__new__(LPathEngine)
     engine._adopt(stores, PlanCompiler, plan_cache_size, workers)
-    compiler = engine._compiler
-    if hasattr(compiler, "segments"):
-        for segment, kind in zip(compiler.segments, kinds):
-            segment.kind = kind
+    for segment, kind in zip(engine._compiler.segments, kinds):
+        segment.kind = kind
     return engine
 
 

@@ -14,7 +14,6 @@ and XPath engines).
 
 from . import axes
 from .ast import Path, Scope, Step
-from .compiler import PlanCompiler
 from .engine import BACKENDS, LPathEngine, engine_from_bracketed
 from .errors import (
     LPathCompileError,
@@ -34,7 +33,6 @@ __all__ = [
     "LPathEvaluationError",
     "LPathSyntaxError",
     "Path",
-    "PlanCompiler",
     "SQLGenerator",
     "Scope",
     "Step",

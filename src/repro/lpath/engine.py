@@ -33,12 +33,12 @@ from itertools import chain
 from typing import Optional, Sequence, Union
 
 from ..labeling.lpath_scheme import label_corpus
+from ..plan.compiler import PlanCompiler
 from ..plan.engine import PlanEngine, stores_from_rows
 from ..plan.segmented import RemoteSpec, validate_segmentation
 from ..relational.sqlite_backend import SQLiteBackend
 from ..tree.node import Tree, TreeNode
 from .ast import Path
-from .compiler import PlanCompiler
 from .errors import LPathError
 from .parser import parse
 from .sql import SQLGenerator

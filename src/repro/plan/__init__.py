@@ -8,17 +8,11 @@ keep compiled plans in a :class:`repro.plan.cache.PlanCache`.
 """
 
 from .cache import PlanCache
+from .compiler import CompiledQuery, CorpusStats, PlanCompiler, Segment
 from .ir import render
 from .lower import Lowerer, LoweredQuery, find_attribute_equality
 from .optimizer import optimize
-from .segmented import (
-    Segment,
-    SegmentPool,
-    SegmentedCatalog,
-    SegmentedPlanCompiler,
-    SegmentedQuery,
-    validate_segmentation,
-)
+from .segmented import SegmentPool, validate_segmentation
 from .schemes import (
     LPathScheme,
     LabelScheme,
@@ -28,16 +22,16 @@ from .schemes import (
 )
 
 __all__ = [
+    "CompiledQuery",
+    "CorpusStats",
     "LPathScheme",
     "LabelScheme",
     "LoweredQuery",
     "Lowerer",
     "PlanCache",
+    "PlanCompiler",
     "Segment",
     "SegmentPool",
-    "SegmentedCatalog",
-    "SegmentedPlanCompiler",
-    "SegmentedQuery",
     "StartEndScheme",
     "VERTICAL_FRAGMENT",
     "XPATH_AXES",

@@ -19,86 +19,65 @@ intermediate batches.  This module exploits that:
   with reuse annotations pointing at the query that computes the shared
   prefix.
 
-Plans without signatures (segmented engines) participate transparently — they just execute standalone.  Results are
-byte-identical to per-query execution: the cache only ever substitutes a
-batch for a recomputation of the same step prefix.
+Every compiled query holds one physical plan per segment, and every
+segment's plan of a query carries the same signatures (they fingerprint
+the shared logical IR), so a batch keeps one cache per segment and each
+segment's plans read and feed only their own.  Process-mode engines
+still send each member to their worker pool, where the caches do not
+reach.  Results are byte-identical to per-query execution: the cache
+only ever substitutes a batch for a recomputation of the same step
+prefix.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from typing import Optional, Sequence
-
-
-def _signatures(compiled) -> Optional[tuple]:
-    plan = getattr(compiled, "plan", None)
-    signatures = getattr(plan, "signatures", None)
-    if signatures and getattr(plan, "execute", None) is not None:
-        return signatures
-    return None
+from typing import Sequence
 
 
 class BatchState:
-    """The shared-prefix cache plus per-signature reference counts for
-    one batch run.  A cached batch is dropped the moment its last
-    consumer has run, bounding memory to the live working set."""
+    """The per-segment shared-prefix caches plus per-signature reference
+    counts for one batch run.  A cached batch is dropped the moment its
+    last consumer has run, bounding memory to the live working set."""
 
     __slots__ = ("shared", "remaining")
 
     def __init__(self, compiled: Sequence) -> None:
-        self.shared: dict = {}
+        segments = max((len(query.parts) for query in compiled), default=0)
+        self.shared: list = [{} for _ in range(segments)]
         self.remaining: Counter = Counter()
         for query in compiled:
-            signatures = _signatures(query)
-            if signatures:
-                self.remaining.update(signatures)
+            self.remaining.update(query.parts[0].signatures)
 
     def execute_one(self, query):
-        """Execute one member against the shared cache; returns exactly
+        """Execute one member against the shared caches; returns exactly
         what the query would produce standalone — the sorted (and
         top-k-truncated) row list, or the aggregate dict."""
-        signatures = _signatures(query)
-        if signatures is None:
-            if query.agg is not None:
-                return query.aggregate()
-            return [tuple(row) for row in query.rows()]
-        plan, shared = query.plan, self.shared
         try:
             if query.agg is not None:
-                if query.agg == "count" and len(plan.steps) == 1:
-                    # Partition-bounds fast path beats any sharing.
-                    return query.aggregate()
-                rows = plan.execute(shared)
-                if query.agg == "count":
-                    return {"count": len(rows)}
-                return dict(Counter(key[2] for key in rows))
-            if query.limit is not None and not any(
-                signature in shared for signature in signatures
-            ):
-                # Nothing to reuse: early termination beats materializing
-                # the full result just to seed a cache nobody reads.
-                return [tuple(row) for row in plan.rows_limited(query.limit)]
-            rows = sorted(plan.execute(shared))
-            if query.limit is not None:
-                rows = rows[: query.limit]
-            return [tuple(row) for row in rows]
+                return query.aggregate(self.shared)
+            return [tuple(row) for row in query.rows(self.shared)]
         finally:
+            signatures = query.parts[0].signatures
             self.remaining.subtract(signatures)
             for signature in signatures:
                 if self.remaining[signature] <= 0:
-                    shared.pop(signature, None)
+                    for cache in self.shared:
+                        cache.pop(signature, None)
 
 
 def run_batch(compiled: Sequence) -> list:
-    """Execute compiled queries through one shared-prefix batch cache;
-    one result per query, in order."""
+    """Execute compiled queries through one shared-prefix batch cache
+    per segment; one result per query, in order."""
     state = BatchState(compiled)
     return [state.execute_one(query) for query in compiled]
 
 
 def explain_batch(compiled: Sequence) -> str:
-    """Render the shared-scan DAG of a batch: every query's pipeline,
-    annotating each step prefix with the query that computes it."""
+    """Render the shared-scan DAG of a batch: every query's pipeline
+    (segment 0's, on a segmented engine — every segment shares the same
+    prefixes), annotating each step prefix with the query that computes
+    it."""
     seen: dict = {}
     total = reused = 0
     lines: list[str] = []
@@ -112,11 +91,8 @@ def explain_batch(compiled: Sequence) -> str:
         if extras:
             header += f"  ({', '.join(extras)})"
         lines.append(header)
-        signatures = _signatures(query)
-        if signatures is None:
-            lines.append("  (no shared-scan support; executes standalone)")
-            continue
-        plan = query.plan
+        plan = query.parts[0]
+        signatures = plan.signatures
         start = 0
         for prefix in range(len(signatures), 0, -1):
             owner = seen.get(signatures[prefix - 1])
@@ -131,9 +107,11 @@ def explain_batch(compiled: Sequence) -> str:
         for step in range(start, len(plan.steps)):
             seen.setdefault(signatures[step], index)
             lines.append(f"  {step + 1}. {plan.steps[step].describe()}")
-    lines.insert(
-        0,
+    header = (
         f"shared-scan batch: {len(compiled)} queries, "
-        f"{total} pipeline steps, {reused} served from shared prefixes",
+        f"{total} pipeline steps, {reused} served from shared prefixes"
     )
-    return "\n".join(lines)
+    segments = len(compiled[0].parts) if compiled else 1
+    if segments > 1:
+        header += f" (x{segments} segments, segment 0 shown)"
+    return "\n".join([header] + lines)

@@ -1,12 +1,13 @@
 """The query façade both dialects share: column stores in, plans out.
 
-An engine is one :class:`~repro.columnar.store.ColumnStore` per segment,
-each wrapped in a dialect compiler (:class:`repro.lpath.compiler.
-PlanCompiler` or its XPath subclass) — a single store compiles directly,
-several fan out through a :class:`~repro.plan.segmented.
-SegmentedPlanCompiler`.  :class:`PlanEngine` holds that wiring plus the
-per-engine plan cache and the query, aggregate, batch, explain and
-lifecycle surface; :class:`~repro.lpath.engine.LPathEngine` and
+An engine is one :class:`~repro.columnar.store.ColumnStore` per segment
+and one dialect compiler over all of them (:class:`~repro.plan.compiler.
+PlanCompiler` or its XPath subclass), whatever the segment count: every
+query compiles once and runs per segment, on the engine's
+:class:`~repro.plan.segmented.SegmentPool` when it has workers.
+:class:`PlanEngine` holds that wiring plus the per-engine plan cache and
+the query, aggregate, batch, explain and lifecycle surface;
+:class:`~repro.lpath.engine.LPathEngine` and
 :class:`~repro.xpath.engine.XPathEngine` add only how they label trees
 and open stores.
 """
@@ -17,13 +18,7 @@ from typing import Callable, Optional, Sequence
 
 from ..lpath.errors import LPathError
 from .cache import PlanCache, cached_compile
-from .segmented import (
-    RemoteSpec,
-    Segment,
-    SegmentPool,
-    SegmentedPlanCompiler,
-    validate_segmentation,
-)
+from .segmented import RemoteSpec, SegmentPool, validate_segmentation
 
 
 def stores_from_rows(rows: Sequence, segments: int, column_names=None) -> list:
@@ -65,10 +60,11 @@ class PlanEngine:
     ) -> None:
         """Wire ``stores`` (one per segment) into this engine.
 
-        ``make_compiler(store)`` builds one segment's dialect compiler;
-        ``mode`` picks the fan-out pool flavor, ``mapped`` is the owner of
-        the stores' memory (closed by :meth:`close`) and ``remote`` tells
-        process workers how to re-open the segments by path."""
+        ``make_compiler(stores, get_pool=, remote=)`` builds the dialect
+        compiler; ``mode`` picks the fan-out pool flavor, ``mapped`` is
+        the owner of the stores' memory (closed by :meth:`close`) and
+        ``remote`` tells process workers how to re-open the segments by
+        path."""
         validate_segmentation(len(stores), workers, mode)
         self.trees = []
         self.segments = len(stores)
@@ -77,17 +73,9 @@ class PlanEngine:
         self._mapped = mapped
         self._stores = list(stores)
         self._pool = SegmentPool(workers, len(stores), mode=self.mode)
-        if len(stores) == 1:
-            self._compiler = make_compiler(stores[0])
-        else:
-            self._compiler = SegmentedPlanCompiler(
-                [
-                    Segment(index, make_compiler(store), len(store))
-                    for index, store in enumerate(stores)
-                ],
-                get_pool=self._pool,
-                remote=remote,
-            )
+        self._compiler = make_compiler(
+            self._stores, get_pool=self._pool, remote=remote
+        )
         self.plan_cache = PlanCache(plan_cache_size)
 
     @classmethod
@@ -157,9 +145,9 @@ class PlanEngine:
 
     def count(self, query, pivot: bool = False) -> int:
         """Result-set size (what the paper's experiments report), counted
-        through the compiled plan: a segmented engine adds per-segment
-        counts, and a process-mode engine ships back one integer per
-        worker instead of packing, unpacking and merging every row."""
+        through the compiled plan: per-segment counts add, and a
+        process-mode engine ships back one integer per worker instead of
+        packing, unpacking and merging every row."""
         return self.compile(query, pivot=pivot).count()
 
     def aggregate(self, query, agg: str = "count", pivot: bool = False) -> dict:
@@ -171,9 +159,10 @@ class PlanEngine:
         return self.compile(query, pivot=pivot, agg=agg).aggregate()
 
     def query_batch(self, queries: Sequence, pivot: bool = False) -> list:
-        """Execute a batch of queries through one shared-scan cache:
-        identical scans and common step prefixes across the batch run
-        once and fan out to every consumer (:mod:`repro.plan.batch`).
+        """Execute a batch of queries through one shared-scan cache per
+        segment: identical scans and common step prefixes across the
+        batch run once and fan out to every consumer
+        (:mod:`repro.plan.batch`).
 
         Each entry is a query (string or AST) or a mapping with keys
         ``query`` and optionally ``limit`` / ``agg`` / ``pivot``.

@@ -101,9 +101,7 @@ def lower_and_optimize(
 ) -> tuple[PlanNode, LoweredQuery]:
     """The logical half of every compile: parse (if text), lower —
     pivoted when requested and applicable, plain otherwise — and
-    optimize.  Shared by the monolithic compilers and the segmented
-    driver so the pivot-fallback and optimizer invocation can never
-    diverge between them.  ``executor`` must be ``"columnar"``.
+    optimize.  ``executor`` must be ``"columnar"``.
 
     ``limit`` wraps the optimized plan in a :class:`~repro.plan.ir.Limit`
     (top-k in output order); ``agg`` wraps it in an
@@ -144,9 +142,9 @@ def lower_and_optimize(
 class Lowerer:
     """Lower parsed queries to the shared IR for one engine instance."""
 
-    def __init__(self, scheme: LabelScheme, catalog, dialect: str) -> None:
+    def __init__(self, scheme: LabelScheme, stats, dialect: str) -> None:
         self.scheme = scheme
-        self.catalog = catalog
+        self.stats = stats  # a repro.plan.compiler.CorpusStats
         self.dialect = dialect
 
     # -- entry points --------------------------------------------------------
@@ -301,7 +299,7 @@ class Lowerer:
 
     def _pivot_index(self, steps: Sequence[Step]) -> Optional[int]:
         frequency = [
-            self.catalog.frequency(None if step.test.is_wildcard else step.test.name)
+            self.stats.frequency(None if step.test.is_wildcard else step.test.name)
             for step in steps
         ]
         pivot_index = min(range(len(steps)), key=frequency.__getitem__)
@@ -340,8 +338,7 @@ class Lowerer:
                 label = "all elements"
             return Scan(TableScan(), tuple(conditions), label, step=step)
         name = step.test.name
-        path = self.catalog.access_path(("name",), None)
-        access = IndexProbe(path.index.name, (Const(name),))
+        access = IndexProbe("clustered", (Const(name),))
         if root_only:
             conditions.append(Cmp(Col(0, P), "=", Const(0)))
             label = f"roots named {name}"
@@ -497,7 +494,7 @@ class Lowerer:
             return access, conditions
 
         access, conditions = self.scheme.named_probe(
-            axis, test.name, ctx, cand, scope, self.catalog
+            axis, test.name, ctx, cand, scope
         )
         return access, list(conditions)
 

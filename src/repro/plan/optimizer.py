@@ -7,14 +7,14 @@ Four passes run between lowering and execution, for both dialects:
   :class:`Scan`/:class:`Join` whose bound slots cover it, and equality
   conditions on the ``name`` column upgrade the access path itself (a
   table scan, or the per-tree ``idx_tid_id`` fallback probe, becomes a
-  clustered name probe chosen through the catalog's access paths);
+  clustered name probe);
 * :func:`reorder_exists_subplans` — the selectivity-driven join
   reordering of ``pivot=True`` generalized to correlated ``exists``
   predicate subplans: a downward-only chain is re-lowered to start at its
   rarest step (main-chain reordering lives in
   :meth:`repro.plan.lower.Lowerer.lower_pivot`);
 * :func:`order_conditions` — evaluate cheap column comparisons before
-  positional checks and correlated subplans on every node; with catalog
+  positional checks and correlated subplans on every node; with corpus
   statistics available, subplan predicates of the same shape additionally
   order by their estimated seed cardinality (the rarest ``exists`` runs
   first) instead of the static cost class alone;
@@ -67,16 +67,16 @@ def optimize(root: PlanNode, lowerer: Lowerer, pivot: bool = False) -> PlanNode:
     """Run every pass; returns the (mutated) root."""
     if pivot:
         reorder_exists_subplans(root, lowerer)
-    root = push_down(root, lowerer.catalog)
-    order_conditions(root, lowerer.catalog)
-    annotate_join_physical(root, lowerer.catalog)
+    root = push_down(root)
+    order_conditions(root, lowerer.stats)
+    annotate_join_physical(root, lowerer.stats)
     return root
 
 
 # -- predicate pushdown -------------------------------------------------------
 
 
-def push_down(root: PlanNode, catalog) -> PlanNode:
+def push_down(root: PlanNode) -> PlanNode:
     """Sink Filter conditions down the main pipeline and upgrade access
     paths that a sunk name-equality condition can narrow."""
     chain = linearize(root)
@@ -103,7 +103,7 @@ def push_down(root: PlanNode, catalog) -> PlanNode:
 
     for node in chain:
         if isinstance(node, (Scan, Join)):
-            _upgrade_access(node, catalog)
+            _upgrade_access(node)
 
     return _drop_empty_filters(root)
 
@@ -123,7 +123,7 @@ def _sink_target(
     return None
 
 
-def _upgrade_access(node, catalog) -> None:
+def _upgrade_access(node) -> None:
     """Turn a broad access path plus a name-equality condition into a
     clustered name probe (predicate pushdown into the index)."""
     name_cond = None
@@ -144,8 +144,7 @@ def _upgrade_access(node, catalog) -> None:
     name = name_cond.right.value
     keep = tuple(c for c in node.conditions if c is not name_cond)
     if isinstance(node, Scan) and isinstance(node.access, TableScan):
-        path = catalog.access_path(("name",), None)
-        node.access = IndexProbe(path.index.name, (Const(name),))
+        node.access = IndexProbe("clustered", (Const(name),))
         node.conditions = keep
         node.label = f"{node.label} named {name}"
         return
@@ -158,9 +157,8 @@ def _upgrade_access(node, catalog) -> None:
         and node.access.high is None
         and node.access.self_slot is None
     ):
-        path = catalog.access_path(("name", "tid"), None)
         tid = node.access.eq[0]
-        node.access = IndexProbe(path.index.name, (Const(name), tid))
+        node.access = IndexProbe("clustered", (Const(name), tid))
         node.conditions = keep
 
 
@@ -228,9 +226,9 @@ def _pivoted_subplan(subplan: PlanNode, lowerer: Lowerer) -> Optional[PlanNode]:
 # -- physical join selection --------------------------------------------------
 
 
-def annotate_join_physical(root: PlanNode, catalog) -> None:
+def annotate_join_physical(root: PlanNode, stats) -> None:
     """Record the cost-based probe vs. structural-merge choice on every
-    merge-eligible main-chain ``Join``, from the catalog's collected
+    merge-eligible main-chain ``Join``, from the collected corpus
     statistics (``REPRO_FORCE_JOIN`` pins the choice for differential
     testing).  Merge choices carry the resolved kernel backend
     (``merge/native`` | ``merge/python``) so ``explain()`` output can
@@ -242,13 +240,13 @@ def annotate_join_physical(root: PlanNode, catalog) -> None:
     chain = linearize(root)
     if not chain or not isinstance(chain[0], Scan):
         return
-    estimates = chain_estimates(chain, catalog)
+    estimates = chain_estimates(chain, stats)
     force = force_mode()
     backend = kernels_backend()
     for node in chain:
         if not isinstance(node, Join):
             continue
-        spec, choice, est_in = decide_join(node, estimates, catalog, force)
+        spec, choice, est_in = decide_join(node, estimates, stats, force)
         if spec is None:
             node.physical = None
             node.est_in = None
@@ -297,7 +295,7 @@ def _subplan_seed_estimate(pred: Pred, stats) -> float:
 
 def order_conditions(root: PlanNode, stats=None) -> None:
     """Stable-sort every node's conditions so cheap column comparisons run
-    before correlated subplans; with catalog statistics, subplans of the
+    before correlated subplans; with corpus statistics, subplans of the
     same cost class additionally order by estimated seed cardinality.
     Recurses into subplans."""
     if stats is None:

@@ -7,9 +7,8 @@ tests) and the start/end baseline scheme of [11] (strict containment
 only).  Everything the shared lowerer must know per scheme lives here:
 
 * which axes an engine supports (:meth:`LabelScheme.validate`),
-* the access path and residual conditions of a named-test step
-  (:meth:`LabelScheme.named_probe`), chosen through the catalog's
-  :meth:`~repro.columnar.catalog.ColumnarCatalog.access_path`,
+* the clustered ``(name, tid)`` range probe and residual conditions of
+  a named-test step (:meth:`LabelScheme.named_probe`),
 * the full Table-2 residuals for probes the index cannot narrow
   (:meth:`LabelScheme.axis_conditions`),
 * axis inverses for selectivity-driven join reordering.
@@ -120,9 +119,6 @@ class LabelScheme:
     supports_alignment = False
     positional_axes: frozenset = frozenset()
     element_string_values = False
-    #: Names of the first two columns of the range-carrying clustered key.
-    low_column = "left"
-    high_column = "right"
 
     def validate(self, items) -> None:
         """Reject query features this scheme cannot express."""
@@ -134,7 +130,6 @@ class LabelScheme:
         ctx: int,
         cand: int,
         scope: Optional[int],
-        catalog,
     ) -> tuple[Access, list[Pred]]:
         raise NotImplementedError
 
@@ -145,12 +140,6 @@ class LabelScheme:
         return None
 
     # -- shared helpers ------------------------------------------------------
-
-    def _clustered_range(self, catalog) -> str:
-        path = catalog.access_path(("name", "tid"), self.low_column)
-        if path is None:  # pragma: no cover - the clustered index always matches
-            raise LPathCompileError("no access path for a named step")
-        return path.index.name
 
     def scope_conditions(self, cand: int, scope: int) -> list[Pred]:
         """Containment of ``cand`` within the ``scope`` node's subtree."""
@@ -214,9 +203,7 @@ class LPathScheme(LabelScheme):
         ctx: int,
         cand: int,
         scope: Optional[int],
-        catalog,
     ) -> tuple[Access, list[Pred]]:
-        clustered = self._clustered_range(catalog)
         eq = (Const(name), Col(ctx, T))
         scope_low = None if scope is None else Col(scope, L)
         scope_high = None if scope is None else Col(scope, R)
@@ -224,7 +211,7 @@ class LPathScheme(LabelScheme):
 
         if axis in (Axis.CHILD, Axis.DESCENDANT, Axis.DESCENDANT_OR_SELF):
             access = IndexProbe(
-                clustered, eq, low=Col(ctx, L), high=Col(ctx, R), include_high=False
+                "clustered", eq, low=Col(ctx, L), high=Col(ctx, R), include_high=False
             )
             if axis is Axis.CHILD:
                 conds.append(Cmp(Col(cand, P), "=", Col(ctx, I)))
@@ -233,20 +220,20 @@ class LPathScheme(LabelScheme):
             else:
                 conds += [Cmp(Col(cand, R), "<=", Col(ctx, R)), Cmp(Col(cand, D), ">=", Col(ctx, D))]
         elif axis in (Axis.ANCESTOR, Axis.ANCESTOR_OR_SELF):
-            access = IndexProbe(clustered, eq, low=scope_low, high=Col(ctx, L))
+            access = IndexProbe("clustered", eq, low=scope_low, high=Col(ctx, L))
             if axis is Axis.ANCESTOR:
                 conds += [Cmp(Col(cand, R), ">=", Col(ctx, R)), Cmp(Col(cand, D), "<", Col(ctx, D))]
             else:
                 conds += [Cmp(Col(cand, R), ">=", Col(ctx, R)), Cmp(Col(cand, D), "<=", Col(ctx, D))]
         elif axis is Axis.IMMEDIATE_FOLLOWING:
-            access = IndexProbe(clustered, eq, low=Col(ctx, R), high=Col(ctx, R))
+            access = IndexProbe("clustered", eq, low=Col(ctx, R), high=Col(ctx, R))
         elif axis in (
             Axis.FOLLOWING,
             Axis.FOLLOWING_OR_SELF,
             Axis.FOLLOWING_SIBLING_OR_SELF,
         ):
             access = IndexProbe(
-                clustered,
+                "clustered",
                 eq,
                 low=Col(ctx, R),
                 high=scope_high,
@@ -258,7 +245,7 @@ class LPathScheme(LabelScheme):
                 conds.append(Cmp(Col(cand, P), "=", Col(ctx, P)))
         elif axis in (Axis.PRECEDING_OR_SELF, Axis.PRECEDING_SIBLING_OR_SELF):
             access = self._preceding_probe(
-                name, ctx, scope_low, catalog, self_slot=ctx, self_name=name,
+                name, ctx, scope_low, self_slot=ctx, self_name=name,
             )
             or_self = AnyPred(
                 (Cmp(Col(cand, R), "<=", Col(ctx, L)), Cmp(Col(cand, I), "=", Col(ctx, I)))
@@ -268,23 +255,23 @@ class LPathScheme(LabelScheme):
             else:
                 conds += [Cmp(Col(cand, P), "=", Col(ctx, P)), or_self]
         elif axis is Axis.IMMEDIATE_PRECEDING:
-            access = self._preceding_probe(name, ctx, scope_low, catalog)
+            access = self._preceding_probe(name, ctx, scope_low)
             conds.append(Cmp(Col(cand, R), "=", Col(ctx, L)))
         elif axis is Axis.PRECEDING:
-            access = self._preceding_probe(name, ctx, scope_low, catalog)
+            access = self._preceding_probe(name, ctx, scope_low)
             conds.append(Cmp(Col(cand, R), "<=", Col(ctx, L)))
         elif axis is Axis.IMMEDIATE_FOLLOWING_SIBLING:
-            access = IndexProbe(clustered, eq, low=Col(ctx, R), high=Col(ctx, R))
+            access = IndexProbe("clustered", eq, low=Col(ctx, R), high=Col(ctx, R))
             conds.append(Cmp(Col(cand, P), "=", Col(ctx, P)))
         elif axis is Axis.FOLLOWING_SIBLING:
-            access = IndexProbe(clustered, eq, low=Col(ctx, R))
+            access = IndexProbe("clustered", eq, low=Col(ctx, R))
             conds.append(Cmp(Col(cand, P), "=", Col(ctx, P)))
         elif axis is Axis.IMMEDIATE_PRECEDING_SIBLING:
-            access = self._preceding_probe(name, ctx, scope_low, catalog)
+            access = self._preceding_probe(name, ctx, scope_low)
             conds.append(Cmp(Col(cand, P), "=", Col(ctx, P)))
             conds.append(Cmp(Col(cand, R), "=", Col(ctx, L)))
         elif axis is Axis.PRECEDING_SIBLING:
-            access = self._preceding_probe(name, ctx, scope_low, catalog)
+            access = self._preceding_probe(name, ctx, scope_low)
             conds += [Cmp(Col(cand, P), "=", Col(ctx, P)), Cmp(Col(cand, R), "<=", Col(ctx, L))]
         else:  # pragma: no cover - SELF/ATTRIBUTE/PARENT handled by the lowerer
             raise LPathCompileError(f"unsupported axis {axis.value}")
@@ -295,7 +282,6 @@ class LPathScheme(LabelScheme):
         name: str,
         ctx: int,
         scope_low,
-        catalog,
         self_slot: Optional[int] = None,
         self_name: Optional[str] = None,
     ) -> Access:
@@ -306,7 +292,7 @@ class LPathScheme(LabelScheme):
         ``right``.
         """
         return IndexProbe(
-            self._clustered_range(catalog),
+            "clustered",
             (Const(name), Col(ctx, T)),
             low=scope_low,
             high=Col(ctx, L),
@@ -324,8 +310,6 @@ class StartEndScheme(LabelScheme):
     supports_alignment = False
     positional_axes = frozenset()
     element_string_values = False
-    low_column = "start"
-    high_column = "end"
 
     def __init__(self, axes: frozenset = VERTICAL_FRAGMENT) -> None:
         self.axes = axes
@@ -392,14 +376,12 @@ class StartEndScheme(LabelScheme):
         ctx: int,
         cand: int,
         scope: Optional[int],
-        catalog,
     ) -> tuple[Access, list[Pred]]:
-        clustered = self._clustered_range(catalog)
         eq = (Const(name), Col(ctx, T))
         conds: list[Pred] = []
         if axis in (Axis.CHILD, Axis.DESCENDANT, Axis.DESCENDANT_OR_SELF):
             access = IndexProbe(
-                clustered,
+                "clustered",
                 eq,
                 low=Col(ctx, L),
                 high=Col(ctx, R),
@@ -414,7 +396,7 @@ class StartEndScheme(LabelScheme):
                 conds.append(Cmp(Col(cand, R), "<=", Col(ctx, R)))
         elif axis in (Axis.ANCESTOR, Axis.ANCESTOR_OR_SELF):
             access = IndexProbe(
-                clustered,
+                "clustered",
                 eq,
                 high=Col(ctx, L),
                 include_high=axis is Axis.ANCESTOR_OR_SELF,
@@ -424,15 +406,15 @@ class StartEndScheme(LabelScheme):
             else:
                 conds.append(Cmp(Col(cand, R), ">=", Col(ctx, R)))
         elif axis is Axis.FOLLOWING:
-            access = IndexProbe(clustered, eq, low=Col(ctx, R), include_low=False)
+            access = IndexProbe("clustered", eq, low=Col(ctx, R), include_low=False)
         elif axis is Axis.PRECEDING:
-            access = IndexProbe(clustered, eq, high=Col(ctx, L), include_high=False)
+            access = IndexProbe("clustered", eq, high=Col(ctx, L), include_high=False)
             conds.append(Cmp(Col(cand, R), "<", Col(ctx, L)))
         elif axis is Axis.FOLLOWING_SIBLING:
-            access = IndexProbe(clustered, eq, low=Col(ctx, R), include_low=False)
+            access = IndexProbe("clustered", eq, low=Col(ctx, R), include_low=False)
             conds.append(Cmp(Col(cand, P), "=", Col(ctx, P)))
         elif axis is Axis.PRECEDING_SIBLING:
-            access = IndexProbe(clustered, eq, high=Col(ctx, L), include_high=False)
+            access = IndexProbe("clustered", eq, high=Col(ctx, L), include_high=False)
             conds += [Cmp(Col(cand, P), "=", Col(ctx, P)), Cmp(Col(cand, R), "<", Col(ctx, L))]
         else:  # pragma: no cover - rejected by validate()
             raise LPathCompileError(f"unsupported axis {axis.value}")

@@ -1,32 +1,10 @@
-"""Segment-aware plan compilation and execution.
+"""Segment fan-out: worker pools, process workers and their recovery.
 
-A segmented engine shards its corpus by tree (``tid``) into N independent
-:class:`Segment`\\ s — each one a complete physical context (a
-:class:`~repro.columnar.ColumnStore`) over a disjoint set of trees.
-Because every query result row belongs to exactly one tree, running the
-same plan against each segment and merging the per-segment ``(tid, id)``
-lists is *embarrassingly parallel*: no cross-segment joins, no
-deduplication, just a sorted merge.
-
-The division of labor:
-
-* :class:`SegmentedPlanCompiler` — parse → lower → optimize exactly
-  **once** (against a :class:`SegmentedCatalog` that sums per-segment
-  statistics, so selectivity decisions see the whole corpus), then
-  physical-compile the optimized IR per segment through the regular
-  :meth:`~repro.lpath.compiler.PlanCompiler.compile_physical`.  The
-  per-engine plan cache stores the resulting :class:`SegmentedQuery`
-  under the same compile-options key as a monolithic plan —
-  the cache is segment-count-agnostic.
-* :class:`SegmentedQuery` — drives the per-segment plans, optionally on a
-  thread pool supplied by the owning engine, and merges the sorted
-  per-segment results.
-
-Results are byte-identical to the monolithic engine: each per-segment
-plan yields sorted distinct ``(tid, id)`` pairs, segments partition the
-tid space, and ``heapq.merge`` preserves global order.
-
-Fan-out comes in two pool flavors (:class:`SegmentPool`):
+An engine shards its corpus by tree (``tid``) into one or more segments,
+and :class:`~repro.plan.compiler.PlanCompiler` compiles every query once
+for all of them.  This module supplies what runs a compiled query's
+per-segment plans side by side.  Fan-out comes in two pool flavors
+(:class:`SegmentPool`):
 
 * ``mode="thread"`` — the classic thread pool.  Cheap, shares every
   structure, but the columnar executor is CPU-bound pure Python, so the
@@ -35,16 +13,16 @@ Fan-out comes in two pool flavors (:class:`SegmentPool`):
   engines.  Nothing heavy crosses the process boundary: each worker opens
   the ``LPDB0004`` store by ``(path, segment index)`` itself (the OS page
   cache makes the second and every later map of the same file free),
-  compiles the query against its own segment, and ships results back as
-  packed ``array('q')`` bytes.  The parent merges the sorted per-segment
-  results exactly as in thread mode.
+  compiles the query against its own segment (a :class:`RemoteTask`),
+  and ships results back as packed ``array('q')`` bytes.  The parent
+  merges the sorted per-segment results exactly as in thread mode.
 
 The process path is additionally **self-healing**: a worker that dies
 mid-query (OOM-killed, SIGKILLed, crashed interpreter) surfaces as
 ``BrokenProcessPool``, which poisons the whole executor.  Instead of
-handing that traceback to the caller, :meth:`SegmentedQuery._map_remote`
-respawns the pool (:meth:`SegmentPool.respawn`) and retries the fan-out
-up to :func:`process_retries` times; if the process path keeps dying it
+handing that traceback to the caller, :func:`run_remote` respawns the
+pool (:meth:`SegmentPool.respawn`) and retries the fan-out up to
+:func:`process_retries` times; if the process path keeps dying it
 *degrades* the pool to in-process thread execution
 (:meth:`SegmentPool.degrade`) — every compiled query also holds its
 local per-segment plans, so the answer stays byte-identical, just
@@ -59,12 +37,9 @@ import os
 import threading
 from array import array
 from concurrent.futures import BrokenExecutor, ThreadPoolExecutor
-from heapq import merge
-from typing import Callable, Iterable, NamedTuple, Optional, Sequence
+from typing import Callable, NamedTuple, Optional
 
 from ..faults import maybe_delay_segment, maybe_kill_worker
-from .ir import PlanNode, render
-from .lower import Lowerer, lower_and_optimize
 
 POOL_MODES = ("thread", "process")
 
@@ -275,12 +250,11 @@ def _worker_segment(spec: RemoteSpec, index: int):
 
             store = MappedColumnStore(segment, column_names=XNODE_COLUMNS)
             axes = frozenset(Axis[name] for name in spec.axes or ())
-            compiler = XPathPlanCompiler(store, axes=axes)
+            compiler = XPathPlanCompiler([store], axes=axes)
         else:
-            from ..lpath.compiler import PlanCompiler
+            from .compiler import PlanCompiler
 
-            store = MappedColumnStore(segment)
-            compiler = PlanCompiler(store)
+            compiler = PlanCompiler([MappedColumnStore(segment)])
         entry = _WORKER_SEGMENTS[key] = (compiler, PlanCache())
     return entry
 
@@ -333,300 +307,47 @@ def _unpack_pairs(blob: bytes) -> list[tuple[int, int]]:
     return list(zip(pairs, pairs))
 
 
-class Segment:
-    """One shard of a segmented corpus: a disjoint set of trees plus the
-    physical structures (and per-segment ``(name, tid)`` partition bounds)
-    to query them independently."""
+def run_remote(get_pool: Callable, task: RemoteTask, segments: int, kind: str):
+    """Fan one query out to worker *processes*: one ``kind`` result
+    (``"rows"`` blobs, ``"count"`` or ``"agg"``) per segment, or ``None``
+    when the in-process path should run instead (no pool, or a thread
+    pool).
 
-    __slots__ = ("index", "compiler", "size", "kind")
-
-    def __init__(
-        self, index: int, compiler, size: int, kind: str = "base"
-    ) -> None:
-        self.index = index
-        self.compiler = compiler  # a PlanCompiler over this shard only
-        self.size = size          # label rows in the shard
-        self.kind = kind          # "base" (immutable store) or "delta" (WAL)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<Segment {self.index} rows={self.size} kind={self.kind}>"
-
-
-class SegmentedCatalog:
-    """The lowerer's catalog surface, summed over every segment.
-
-    Sizes and name frequencies add across disjoint shards, so pivot
-    selectivity ordering sees corpus-wide statistics; access-path
-    selection delegates to the first segment — all segments share one
-    physical design (same clustered key, same index set), so the choice
-    is representative."""
-
-    def __init__(self, catalogs: Sequence) -> None:
-        if not catalogs:
-            raise ValueError("a segmented catalog needs at least one segment")
-        self._catalogs = list(catalogs)
-
-    def size(self) -> int:
-        return sum(catalog.size() for catalog in self._catalogs)
-
-    def frequency(self, name: Optional[str]) -> int:
-        return sum(catalog.frequency(name) for catalog in self._catalogs)
-
-    def tree_count(self) -> int:
-        """Trees across all shards (tids are disjoint, so counts add)."""
-        return sum(catalog.tree_count() for catalog in self._catalogs)
-
-    def name_stats(self, name: Optional[str]):
-        """Per-name statistics merged across shards: cardinalities and
-        partition counts add, depth ranges widen, the largest partition is
-        the max — giving the optimizer corpus-wide inputs while each
-        segment still re-decides its physical join from its own stats."""
-        from ..columnar.store import NameStats
-
-        merged = None
-        for catalog in self._catalogs:
-            stats = catalog.name_stats(name)
-            if stats.rows == 0:
-                continue
-            if merged is None:
-                merged = stats
-            else:
-                merged = NameStats(
-                    merged.rows + stats.rows,
-                    merged.partitions + stats.partitions,
-                    max(merged.max_partition, stats.max_partition),
-                    min(merged.min_depth, stats.min_depth),
-                    max(merged.max_depth, stats.max_depth),
-                )
-        return merged if merged is not None else NameStats(0, 0, 0, 0, 0)
-
-    def access_path(self, eq_columns, range_column=None):
-        return self._catalogs[0].access_path(eq_columns, range_column)
-
-
-class SegmentedQuery:
-    """A compiled query fanned out over N segments.
-
-    Holds one per-segment compiled result (the same
-    :class:`~repro.lpath.compiler.CompiledQuery` objects a monolithic
-    engine produces) and merges their sorted outputs.  ``get_pool`` is a
-    zero-argument callable supplied by the owning engine returning a
-    ``concurrent.futures`` executor, or ``None`` for sequential execution
-    — a callable rather than a pool so cached plans survive the engine's
-    pool being recycled by :meth:`close`."""
-
-    def __init__(
-        self,
-        parts: Sequence,
-        description: str,
-        logical: PlanNode,
-        get_pool: Optional[Callable] = None,
-        remote: Optional[RemoteTask] = None,
-        limit: Optional[int] = None,
-        agg: Optional[str] = None,
-        kinds: Optional[Sequence[str]] = None,
-    ) -> None:
-        self.parts = list(parts)
-        self.description = description
-        self.logical = logical
-        self.get_pool = get_pool
-        self.remote = remote
-        self.limit = limit
-        self.agg = agg
-        self.kinds = list(kinds) if kinds is not None else None
-
-    def _map(self, task: Callable) -> list:
-        def run(part):
-            maybe_delay_segment()  # segment_slow bites the thread path too
-            return task(part)
-
-        pool = self.get_pool() if self.get_pool is not None else None
-        if pool is None or len(self.parts) <= 1:
-            return [run(part) for part in self.parts]
-        return list(pool.map(run, self.parts))
-
-    def _map_remote(self, kind: str) -> Optional[list]:
-        """Fan the query out to worker *processes*, or ``None`` when the
-        thread/sequential path should run instead (no pool, a thread
-        pool, or nothing to fan out over).
-
-        A ``BrokenProcessPool`` (worker SIGKILLed mid-query, or already
-        dead at submit time) never escapes: the pool is respawned and the
-        whole fan-out retried up to :func:`process_retries` times — the
-        per-segment work is read-only and idempotent, so re-running every
-        segment is safe.  When the process path keeps dying the pool
-        degrades to threads (``None`` return: the caller's local plans
-        run in-process, byte-identical), or, with degradation disabled,
-        raises a classified
-        :class:`~repro.lpath.errors.ExecutorRecoveryError`."""
-        if (
-            self.remote is None
-            or self.get_pool is None
-            or len(self.parts) <= 1
-        ):
+    A ``BrokenProcessPool`` (worker SIGKILLed mid-query, or already dead
+    at submit time) never escapes: the pool is respawned and the whole
+    fan-out retried up to :func:`process_retries` times — the per-segment
+    work is read-only and idempotent, so re-running every segment is
+    safe.  When the process path keeps dying the pool degrades to threads
+    (``None`` return: the caller's local plans run in-process,
+    byte-identical), or, with degradation disabled, raises a classified
+    :class:`~repro.lpath.errors.ExecutorRecoveryError`."""
+    attempts = 1 + process_retries()
+    for _attempt in range(attempts):
+        if getattr(get_pool, "mode", "thread") != "process":
+            return None  # a thread pool (possibly degraded mid-loop)
+        pool = get_pool()
+        if pool is None:
             return None
-        pool_factory = self.get_pool
-        attempts = 1 + process_retries()
-        for _attempt in range(attempts):
-            if getattr(pool_factory, "mode", "thread") != "process":
-                return None  # a thread pool (possibly degraded mid-loop)
-            pool = pool_factory()
-            if pool is None:
-                return None
-            try:
-                futures = [
-                    pool.submit(_execute_segment, self.remote, index, kind)
-                    for index in range(len(self.parts))
-                ]
-                return [future.result() for future in futures]
-            except BrokenExecutor:
-                # Dead worker(s): the executor is poisoned.  Respawn and
-                # retry; anything else (engine errors shipped back from a
-                # live worker) propagates unchanged.
-                respawn = getattr(pool_factory, "respawn", None)
-                if respawn is None or not respawn():
-                    break
-        degrade = getattr(pool_factory, "degrade", None)
-        if degrade is not None and degrade():
-            return None
-        from ..lpath.errors import ExecutorRecoveryError
+        try:
+            futures = [
+                pool.submit(_execute_segment, task, index, kind)
+                for index in range(segments)
+            ]
+            return [future.result() for future in futures]
+        except BrokenExecutor:
+            # Dead worker(s): the executor is poisoned.  Respawn and
+            # retry; anything else (engine errors shipped back from a
+            # live worker) propagates unchanged.
+            respawn = getattr(get_pool, "respawn", None)
+            if respawn is None or not respawn():
+                break
+    degrade = getattr(get_pool, "degrade", None)
+    if degrade is not None and degrade():
+        return None
+    from ..lpath.errors import ExecutorRecoveryError
 
-        raise ExecutorRecoveryError(
-            f"segment fan-out failed {attempts} time(s): process workers "
-            "keep dying and in-process degradation is disabled; the query "
-            "produced no results and is safe to retry"
-        )
-
-    def rows(self) -> Iterable[tuple]:
-        """Distinct, sorted ``(tid, id)`` pairs across every segment.
-
-        Under a top-k limit every segment already stops at its own first
-        k results (each could hold the k globally-smallest keys), so the
-        merge only has to truncate — identical output to a monolithic
-        top-k because the segments partition the tid space."""
-        packed = self._map_remote("rows")
-        if packed is not None:
-            from ..columnar.kernels.api import merge_packed_pairs
-
-            merged = merge_packed_pairs(packed)
-            if merged is None:
-                merged = merge(*(_unpack_pairs(blob) for blob in packed))
-        else:
-            merged = merge(*self._map(lambda part: part.rows()))
-        if self.limit is not None:
-            return list(merged)[: self.limit]
-        return merged
-
-    def count(self) -> int:
-        """Total result size — per-segment counts simply add because the
-        segments partition the tid space."""
-        if self.limit is not None:
-            return len(list(self.rows()))
-        counts = self._map_remote("count")
-        if counts is not None:
-            return sum(counts)
-        return sum(self._map(lambda part: part.count()))
-
-    def aggregate(self) -> dict:
-        """Merge per-segment aggregates: group counts add across the
-        disjoint tid shards (and ``{"count": n}`` is just the one-group
-        case)."""
-        if self.agg is None:
-            from ..lpath.errors import LPathCompileError
-
-            raise LPathCompileError("plan carries no aggregate")
-        results = self._map_remote("agg")
-        if results is None:
-            results = self._map(lambda part: part.aggregate())
-        from collections import Counter
-
-        merged: Counter = Counter()
-        for result in results:
-            merged.update(result)
-        return dict(merged)
-
-    def explain(self) -> str:
-        """The shared logical IR plus the first segment's physical plan
-        (all segments compile the same IR against the same design)."""
-        parts = [self.description]
-        if self.logical is not None:
-            parts.append("logical plan:\n" + render(self.logical, indent=2))
-        mix = ""
-        if self.kinds is not None and "delta" in self.kinds:
-            base = sum(1 for kind in self.kinds if kind != "delta")
-            delta = len(self.kinds) - base
-            mix = f": {base} base + {delta} delta"
-        parts.append(
-            f"physical plan (x{len(self.parts)} segments{mix}, "
-            "segment 0 shown):\n"
-            + self.parts[0].plan.explain(indent=2)
-        )
-        return "\n".join(parts)
-
-
-class SegmentedPlanCompiler:
-    """Compile queries once, execute them against every segment.
-
-    Mirrors the :class:`~repro.lpath.compiler.PlanCompiler` surface the
-    engines and the plan cache consume (``compile(query, pivot, limit,
-    agg)``), so an engine swaps monolithic for segmented compilation
-    without touching its query paths.  Works for both dialects — the
-    per-segment compilers carry the scheme, dialect and result class."""
-
-    def __init__(
-        self,
-        segments: Sequence[Segment],
-        get_pool=None,
-        remote: Optional[RemoteSpec] = None,
-    ) -> None:
-        if not segments:
-            raise ValueError("a segmented compiler needs at least one segment")
-        self.segments = list(segments)
-        first = self.segments[0].compiler
-        self.dialect = first.dialect
-        self.scheme = first.scheme
-        self.catalog = SegmentedCatalog(
-            [segment.compiler.catalog for segment in self.segments]
-        )
-        self.lowerer = Lowerer(self.scheme, self.catalog, self.dialect)
-        self.get_pool = get_pool
-        self.remote = remote
-
-    def compile(
-        self, query, pivot: bool = False,
-        limit: Optional[int] = None, agg: Optional[str] = None,
-    ) -> SegmentedQuery:
-        """One logical compile, N physical compiles, one merged result.
-
-        The logical plan's join annotations come from the summed
-        corpus-wide statistics; each per-segment physical compile then
-        re-decides probe vs. merge against its own shard's statistics.
-        Engines built over an ``LPDB0004`` file additionally attach a
-        :class:`RemoteTask` so a process pool can re-run the same query
-        worker-side without pickling any plan or store."""
-        root, lowered = lower_and_optimize(
-            self.lowerer, query, pivot, limit=limit, agg=agg
-        )
-        parts = [
-            segment.compiler.compile_physical(root, lowered)
-            for segment in self.segments
-        ]
-        remote_task = None
-        if self.remote is not None:
-            from ..columnar.kernels.api import KERNELS_ENV
-            from ..columnar.structural import force_mode
-
-            remote_task = RemoteTask(
-                self.remote,
-                query if isinstance(query, str) else str(query),
-                pivot,
-                force_mode(),
-                os.environ.get(KERNELS_ENV) or None,
-                limit,
-                agg,
-            )
-        return SegmentedQuery(
-            parts, lowered.description, root, self.get_pool, remote_task,
-            limit=limit, agg=agg,
-            kinds=[segment.kind for segment in self.segments],
-        )
+    raise ExecutorRecoveryError(
+        f"segment fan-out failed {attempts} time(s): process workers "
+        "keep dying and in-process degradation is disabled; the query "
+        "produced no results and is safe to retry"
+    )

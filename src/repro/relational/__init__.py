@@ -14,13 +14,11 @@ from .database import (
     create_node_table,
 )
 from .index import SortedIndex
-from .planner import AccessPath, match_index
 from .schema import Row, Schema, SchemaError, encode_component, encode_key
 from .sqlite_backend import SQLiteBackend, quote_identifier
 from .table import Table
 
 __all__ = [
-    "AccessPath",
     "Database",
     "NODE_CLUSTERED_KEY",
     "NODE_COLUMNS",
@@ -34,6 +32,5 @@ __all__ = [
     "create_node_table",
     "encode_component",
     "encode_key",
-    "match_index",
     "quote_identifier",
 ]

@@ -1,8 +1,8 @@
 """Query compiler for the baseline XPath engine (start/end labeling, [11]).
 
-Shares the whole compilation pipeline with :mod:`repro.lpath.compiler`
-through the unified IR in :mod:`repro.plan`: :class:`XPathPlanCompiler`
-is :class:`~repro.lpath.compiler.PlanCompiler` with the
+Shares the whole compilation pipeline with the LPath engine through the
+unified IR in :mod:`repro.plan`: :class:`XPathPlanCompiler` is
+:class:`~repro.plan.compiler.PlanCompiler` with the
 :class:`~repro.plan.schemes.StartEndScheme` axis semantics over the
 relation ``xnode(tid, start, end, depth, id, pid, name, value)``.  Only
 the XPath-expressible axes are supported; the immediate-* axes, subtree
@@ -14,23 +14,19 @@ queries).
 
 from __future__ import annotations
 
-from ..lpath.compiler import CompiledQuery, PlanCompiler
+from ..plan.compiler import PlanCompiler
 from ..plan.schemes import StartEndScheme, VERTICAL_FRAGMENT, XPATH_AXES
 
-__all__ = ["VERTICAL_FRAGMENT", "XPATH_AXES", "XPathCompiledQuery", "XPathPlanCompiler"]
-
-
-class XPathCompiledQuery(CompiledQuery):
-    """Executable plan over the start/end label relation."""
+__all__ = ["VERTICAL_FRAGMENT", "XPATH_AXES", "XPathPlanCompiler"]
 
 
 class XPathPlanCompiler(PlanCompiler):
-    """Compile the XPath-expressible fragment against a column store of
+    """Compile the XPath-expressible fragment against column stores of
     the xnode relation."""
 
     dialect = "XPath"
-    result_class = XPathCompiledQuery
 
-    def __init__(self, column_store, axes: frozenset = VERTICAL_FRAGMENT) -> None:
-        self.axes = axes
-        super().__init__(column_store, scheme=StartEndScheme(axes))
+    def __init__(
+        self, stores, axes: frozenset = VERTICAL_FRAGMENT, **options
+    ) -> None:
+        super().__init__(stores, scheme=StartEndScheme(axes), **options)

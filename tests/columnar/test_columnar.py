@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, settings
 
-from repro.columnar import ColumnStore, ColumnarCatalog
+from repro.columnar import ColumnStore
 from repro.labeling import label_corpus
 from repro.lpath import LPathEngine, LPathError
 from repro.tree import figure1_tree
@@ -87,7 +87,7 @@ class TestColumnStore:
 
     def test_string_value_matches_runtime(self):
         engine = LPathEngine([figure1_tree()])
-        runtime = engine._compiler.runtime
+        runtime = engine._compiler.segments[0].compiler
         store = runtime.store
         for row in range(len(store)):
             assert store.string_value(row) == runtime.string_value(row)
@@ -109,23 +109,6 @@ class TestColumnStore:
         assert sorted(store.iter_rows()) == rows
 
 
-class TestColumnarCatalog:
-    def test_access_paths(self):
-        catalog = ColumnarCatalog(figure1_store())
-        clustered = catalog.access_path(("name", "tid"), "left")
-        assert clustered.index.name == "clustered"
-        assert clustered.range_column == "left"
-        by_id = catalog.access_path(("tid", "id"), None)
-        assert by_id.index.name == "idx_tid_id"
-        assert catalog.access_path(("value",), None) is None
-
-    def test_size_and_frequency(self):
-        store = figure1_store()
-        catalog = ColumnarCatalog(store)
-        assert catalog.size() == len(store)
-        assert catalog.frequency("NP") == store.frequency("NP")
-
-
 class TestColumnarExecutor:
     def test_rejects_unknown_executor(self):
         from repro.plan.lower import lower_and_optimize
@@ -139,9 +122,10 @@ class TestColumnarExecutor:
             root, lowered = lower_and_optimize(
                 compiler.lowerer, "//NP", False, "columnar"
             )
+            physical = compiler.segments[0].compiler
             with pytest.raises(LPathError, match="unknown executor"):
-                compiler.compile_physical(root, lowered, "gpu")
-            assert compiler.compile_physical(root, lowered, "columnar").rows()
+                physical.compile_physical(root, lowered, "gpu")
+            assert physical.compile_physical(root, lowered, "columnar").rows()
 
     def test_executor_is_a_read_only_constant(self):
         for engine in (

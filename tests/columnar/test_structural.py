@@ -1,7 +1,8 @@
 """Unit tests for the set-at-a-time structural join layer.
 
 Covers the IR-shape analysis (:func:`merge_spec`), the statistics surface
-(:meth:`ColumnStore.name_stats` and the catalog adapters), the cost-based
+(:meth:`ColumnStore.name_stats` and the corpus-wide
+:class:`~repro.plan.compiler.CorpusStats`), the cost-based
 choice (:func:`choose_join` + the optimizer annotation), the CSR children
 index, and axis-family equivalence of forced merge vs forced probe
 execution against the tree-walk oracle."""
@@ -17,7 +18,7 @@ from repro.columnar.structural import FORCE_ENV, PREFIX, STACK, SWEEP
 from repro.labeling.lpath_scheme import label_corpus
 from repro.lpath import LPathEngine
 from repro.plan.ir import Join
-from repro.plan.segmented import SegmentedCatalog
+from repro.plan.compiler import CorpusStats
 from repro.tree import iter_trees
 from repro.xpath import XPathEngine
 
@@ -129,13 +130,11 @@ class TestStatistics:
         assert store.name_stats("nope") == NameStats(0, 0, 0, 0, 0)
         assert store.tree_count() == 4
 
-    def test_segmented_catalog_merges_stats(self, trees):
+    def test_corpus_stats_merge_segments(self, trees):
         stores = [
             ColumnStore.from_rows(label_corpus([tree])) for tree in trees
         ]
-        from repro.columnar import ColumnarCatalog
-
-        merged = SegmentedCatalog([ColumnarCatalog(s) for s in stores])
+        merged = CorpusStats(stores)
         whole = ColumnStore.from_rows(label_corpus(trees))
         for name in ("NP", "S", "Det", "nope"):
             expected = whole.name_stats(name)
@@ -145,6 +144,18 @@ class TestStatistics:
             assert got.min_depth == expected.min_depth
             assert got.max_depth == expected.max_depth
         assert merged.tree_count() == whole.tree_count()
+        assert merged.size() == whole.size() == len(whole)
+        assert merged.frequency("NP") == whole.frequency("NP")
+        assert merged.frequency(None) == whole.frequency(None)
+
+    def test_corpus_stats_of_one_store_are_the_store_stats(self, trees):
+        store = ColumnStore.from_rows(label_corpus(trees))
+        stats = CorpusStats([store])
+        assert stats.size() == len(store)
+        assert stats.frequency("NP") == store.frequency("NP")
+        assert stats.tree_count() == store.tree_count()
+        for name in ("NP", "S", "Det", "nope", None):
+            assert stats.name_stats(name) == store.name_stats(name)
 
     def test_children_index(self, trees):
         store = ColumnStore.from_rows(label_corpus(trees))

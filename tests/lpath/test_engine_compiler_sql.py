@@ -85,7 +85,7 @@ class TestClose:
 
         engine = LPathEngine([figure1_tree()])
         engine.query("//NP")
-        runtime_ref = weakref.ref(engine._compiler.runtime)
+        runtime_ref = weakref.ref(engine._compiler.segments[0].compiler)
         compiler_ref = weakref.ref(engine._compiler)
         engine.close()
         gc.collect()

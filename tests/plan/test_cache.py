@@ -118,7 +118,7 @@ class TestEngineCaching:
         takes an executor option any more."""
         from repro.columnar import ColumnarPlan
 
-        assert isinstance(engine.compile("//S//V").plan, ColumnarPlan)
+        assert isinstance(engine.compile("//S//V").parts[0], ColumnarPlan)
         with pytest.raises(TypeError):
             engine.compile("//S//V", executor="columnar")
 

@@ -582,6 +582,20 @@ class TestKernelAndSegmentConfigErrors:
         assert err.startswith("error: ")
         assert "Traceback" not in err
 
+    def test_invalid_segments_at_compact(self, corpus_file, tmp_path,
+                                         capsys):
+        live_dir = str(tmp_path / "live")
+        assert run(["compile", corpus_file, "-o", live_dir,
+                    "--format", "lpdb0005"])[0] == 0
+        assert run(["append", live_dir, corpus_file])[0] == 0
+        code, output = run(["compact", live_dir, "--segments", "0"])
+        assert code == 1
+        assert "segment count must be >= 1" in capsys.readouterr().err
+        assert "compacted" not in output
+        code, output = run(["compact", live_dir])  # omitted means 1
+        assert code == 0
+        assert output.startswith("compacted ")
+
     def test_invalid_mode_combination_at_cli(self, corpus_file, capsys):
         code, _ = run(["query", corpus_file, "//NP", "--count",
                        "--mode", "process"])

@@ -288,6 +288,24 @@ class TestCompaction:
         assert status["compacted_rows"] == 0
         assert store.corpus_info(corpus_dir)["generation"] == generation
 
+    def test_rejected_segment_count_leaves_no_orphan_file(self, corpus_dir):
+        # The shard count is refused before the next segment file is
+        # created, so the directory holds only what the manifest names.
+        with LiveCorpus(corpus_dir) as corpus:
+            corpus.append_trees(MORE)
+            before = sorted(os.listdir(corpus_dir))
+            with pytest.raises(StoreError, match="segment count must be >= 1"):
+                corpus.compact(segments=-1)
+            assert sorted(os.listdir(corpus_dir)) == before
+            segment_files = {
+                name for name in os.listdir(corpus_dir)
+                if name.startswith("seg-")
+            }
+            assert segment_files == {
+                name for name, _rows in corpus.manifest.segments
+            }
+            assert corpus.compact(segments=2)["compacted_rows"] > 0
+
     def test_repeated_compactions_accumulate_segments(self, corpus_dir):
         for _ in range(3):
             with LiveCorpus(corpus_dir) as corpus:
